@@ -6,7 +6,7 @@
 //! witness path, as the number of query variables grows.
 
 use bqc_bench::{cycle_query, path_query};
-use bqc_core::{decide_containment_with, DecideOptions};
+use bqc_core::{decide_containment_traced, DecideContext, DecideOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -20,7 +20,8 @@ fn bench_contained_direction(c: &mut Criterion) {
         let path = path_query(k - 1);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
-                let answer = decide_containment_with(
+                let answer = decide_containment_traced(
+                    &mut DecideContext::new(),
                     &cycle,
                     &path,
                     &DecideOptions {
@@ -28,7 +29,8 @@ fn bench_contained_direction(c: &mut Criterion) {
                         ..DecideOptions::default()
                     },
                 )
-                .unwrap();
+                .unwrap()
+                .answer;
                 assert!(answer.is_contained());
             })
         });
@@ -46,7 +48,8 @@ fn bench_not_contained_direction(c: &mut Criterion) {
         let q2 = path_query(k + 1);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
             b.iter(|| {
-                let answer = decide_containment_with(
+                let answer = decide_containment_traced(
+                    &mut DecideContext::new(),
                     &q1,
                     &q2,
                     &DecideOptions {
@@ -55,7 +58,8 @@ fn bench_not_contained_direction(c: &mut Criterion) {
                         ..DecideOptions::default()
                     },
                 )
-                .unwrap();
+                .unwrap()
+                .answer;
                 assert!(!answer.is_unknown());
             })
         });

@@ -5,8 +5,9 @@
 //! (`bqc_bench::engine_workload`).  Three configurations are timed on the
 //! same request list:
 //!
-//! * `sequential/decide_each` — the baseline: one `decide_containment_with`
-//!   call per request, no canonicalization, no cache, no threads;
+//! * `sequential/decide_each` — the baseline: one `decide_containment_traced`
+//!   call on a fresh context per request, no canonicalization, no cache, no
+//!   threads;
 //! * `engine/cold_batch` — a fresh engine per iteration: canonicalization +
 //!   in-flight dedup + worker-pool fan-out pay for every distinct pair once
 //!   (this is the ≥ 2x-speedup comparison against the baseline);
@@ -15,7 +16,7 @@
 //!   layer.
 
 use bqc_bench::engine_workload;
-use bqc_core::{decide_containment_with, DecideOptions};
+use bqc_core::{decide_containment_traced, DecideContext, DecideOptions};
 use bqc_engine::{Engine, EngineOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -51,8 +52,9 @@ fn bench_engine_vs_sequential(c: &mut Criterion) {
                 b.iter(|| {
                     let mut verdicts = 0usize;
                     for (q1, q2) in workload {
-                        if decide_containment_with(q1, q2, &options)
+                        if decide_containment_traced(&mut DecideContext::new(), q1, q2, &options)
                             .expect("workload has matching heads")
+                            .answer
                             .is_contained()
                         {
                             verdicts += 1;

@@ -4,6 +4,7 @@
 
 use bqc_bench::{path_query, random_graph, star_query};
 use bqc_core::count_homomorphisms_acyclic;
+use bqc_obs::Budget;
 use bqc_relational::count_homomorphisms;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -15,7 +16,7 @@ fn bench_path_queries(c: &mut Criterion) {
     for edges in [30usize, 80, 150] {
         let db = random_graph(20, edges, 42);
         group.bench_with_input(BenchmarkId::new("backtracking", edges), &edges, |b, _| {
-            b.iter(|| count_homomorphisms(&query, &db))
+            b.iter(|| count_homomorphisms(&query, &db, &Budget::unlimited()).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("junction_tree", edges), &edges, |b, _| {
             b.iter(|| count_homomorphisms_acyclic(&query, &db).unwrap())
@@ -31,7 +32,7 @@ fn bench_star_queries(c: &mut Criterion) {
     for edges in [50usize, 150] {
         let db = random_graph(15, edges, 7);
         group.bench_with_input(BenchmarkId::new("backtracking", edges), &edges, |b, _| {
-            b.iter(|| count_homomorphisms(&query, &db))
+            b.iter(|| count_homomorphisms(&query, &db, &Budget::unlimited()).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("junction_tree", edges), &edges, |b, _| {
             b.iter(|| count_homomorphisms_acyclic(&query, &db).unwrap())

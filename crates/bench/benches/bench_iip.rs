@@ -7,10 +7,8 @@
 
 use bqc_arith::int;
 use bqc_entropy::EntropyExpr;
-use bqc_iip::{
-    check_linear_inequality, check_max_inequality, find_convex_certificate, LinearInequality,
-    MaxInequality,
-};
+use bqc_iip::{find_convex_certificate, GammaProver, LinearInequality, MaxInequality};
+use bqc_obs::Budget;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -53,7 +51,11 @@ fn bench_linear_validity(c: &mut Criterion) {
     for n in [3usize, 4, 5] {
         let inequality = chain_inequality(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| assert!(check_linear_inequality(&inequality).is_valid()))
+            b.iter(|| {
+                let verdict =
+                    GammaProver::new().check_linear_inequality(&inequality, &Budget::unlimited());
+                assert!(verdict.unwrap().is_valid())
+            })
         });
     }
     group.finish();
@@ -67,7 +69,7 @@ fn bench_max_validity(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 // Validity is not asserted (it depends on n); only timing matters.
-                let _ = check_max_inequality(&inequality);
+                let _ = GammaProver::new().check_max_inequality(&inequality, &Budget::unlimited());
             })
         });
     }

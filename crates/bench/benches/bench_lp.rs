@@ -2,11 +2,8 @@
 //!
 //! Four groups feed the CI bench-regression gate (`BENCH_PR5.json`):
 //!
-//! * `lp/shannon_cone_feasibility` — the *identical* standard-form program
-//!   through the sparse revised simplex (`revised/n`, n = 3..6) and through
-//!   the retained dense tableau oracle (`dense/n`, capped at n = 5: the
-//!   dense tableau on the 247-row n = 6 cone is minutes-slow and would blow
-//!   the CI budget without adding signal);
+//! * `lp/shannon_cone_feasibility` — the Shannon-cone standard-form program
+//!   through the sparse revised simplex (`revised/n`, n = 3..6);
 //! * `lp/gamma_validity` — full `Γ_n` validity checks at n = 6 (and lazy-only
 //!   n = 7, where the eager cone's 679 rows are out of budget) through the
 //!   eager materialized cone versus the lazy separation prover, cold
@@ -19,9 +16,11 @@
 
 use bqc_arith::{int, Rational};
 use bqc_entropy::{elemental_inequalities, EntropyExpr};
-use bqc_iip::{check_max_inequality_eager, GammaProver, LinearInequality, MaxInequality};
-use bqc_lp::oracle::solve_standard_form_dense;
+use bqc_iip::{
+    check_max_inequality_eager, GammaProver, GammaValidity, LinearInequality, MaxInequality,
+};
 use bqc_lp::{solve_standard_form, ConstraintOp, LpBasis, LpProblem, Sense, VarBound};
+use bqc_obs::Budget;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,8 +58,7 @@ fn shannon_cone_problem(n: usize, extra_disjuncts: usize) -> LpProblem {
 }
 
 /// The same cone feasibility program as an explicit dense standard form
-/// (surplus column per `>=` row), so the dense oracle and the revised solver
-/// can be timed on byte-identical input.
+/// (surplus column per `>=` row), the input of [`solve_standard_form`].
 fn shannon_cone_standard_form(n: usize) -> (Vec<Vec<Rational>>, Vec<Rational>, Vec<Rational>) {
     let vars = (1usize << n) - 1;
     let elementals: Vec<_> = elemental_inequalities(n).into_iter().collect();
@@ -97,18 +95,6 @@ fn bench_shannon_cone(c: &mut Criterion) {
                 ))
             })
         });
-        // The dense tableau is O(m·n) big-rational work per pivot; n = 6
-        // (247 rows) takes minutes and is deliberately excluded.
-        if n <= 5 {
-            group.bench_with_input(BenchmarkId::new("dense", n), &n, |bencher, _| {
-                bencher.iter(|| {
-                    assert!(matches!(
-                        solve_standard_form_dense(&a, &b, &cost),
-                        bqc_lp::SimplexOutcome::Optimal { .. }
-                    ))
-                })
-            });
-        }
     }
     group.finish();
 }
@@ -139,6 +125,18 @@ fn refuted_inequality(n: usize) -> MaxInequality {
     LinearInequality::new(universe, expr).to_max()
 }
 
+/// One lazy-separation probe on `prover`.
+fn lazy(prover: &mut GammaProver, inequality: &MaxInequality) -> GammaValidity {
+    prover
+        .check_max_inequality(inequality, &Budget::unlimited())
+        .unwrap()
+}
+
+/// One eager full-cone check.
+fn eager(inequality: &MaxInequality) -> GammaValidity {
+    check_max_inequality_eager(inequality, &Budget::unlimited()).unwrap()
+}
+
 fn bench_gamma_validity(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp/gamma_validity");
     group.sample_size(10);
@@ -148,31 +146,31 @@ fn bench_gamma_validity(c: &mut Criterion) {
     // probe.  n = 7 (679 rows) is excluded — it is exactly the wall the lazy
     // prover removes.
     group.bench_with_input(BenchmarkId::new("eager", 6), &6, |b, _| {
-        b.iter(|| assert!(check_max_inequality_eager(&valid6).is_valid()))
+        b.iter(|| assert!(eager(&valid6).is_valid()))
     });
     group.bench_with_input(BenchmarkId::new("refute_eager", 6), &6, |b, _| {
-        b.iter(|| assert!(!check_max_inequality_eager(&refute6).is_valid()))
+        b.iter(|| assert!(!eager(&refute6).is_valid()))
     });
     for n in [6usize, 7] {
         let valid = chain_inequality(n);
         let refute = refuted_inequality(n);
         // Cold: a fresh prover per probe (first-contact latency).
         group.bench_with_input(BenchmarkId::new("lazy_cold", n), &n, |b, _| {
-            b.iter(|| assert!(GammaProver::new().check_max_inequality(&valid).is_valid()))
+            b.iter(|| assert!(lazy(&mut GammaProver::new(), &valid).is_valid()))
         });
         // Warm: one prover reused across probes of the same shape — the
         // batch-serving path (bqc-engine worker contexts).  The CI gate
         // requires warm ≥ 5× eager at n = 6.
         let mut warm = GammaProver::new();
-        assert!(warm.check_max_inequality(&valid).is_valid());
+        assert!(lazy(&mut warm, &valid).is_valid());
         group.bench_with_input(BenchmarkId::new("lazy_warm", n), &n, |b, _| {
-            b.iter(|| assert!(warm.check_max_inequality(&valid).is_valid()))
+            b.iter(|| assert!(lazy(&mut warm, &valid).is_valid()))
         });
         if n == 6 {
             let mut warm_refute = GammaProver::new();
-            assert!(!warm_refute.check_max_inequality(&refute).is_valid());
+            assert!(!lazy(&mut warm_refute, &refute).is_valid());
             group.bench_with_input(BenchmarkId::new("refute_lazy_warm", n), &n, |b, _| {
-                b.iter(|| assert!(!warm_refute.check_max_inequality(&refute).is_valid()))
+                b.iter(|| assert!(!lazy(&mut warm_refute, &refute).is_valid()))
             });
         } else {
             // Warm refutation state mutates between repeats (the active set
@@ -180,7 +178,7 @@ fn bench_gamma_validity(c: &mut Criterion) {
             // a warm n = 7 scenario too noisy to gate; the cold one-shot is
             // deterministic.
             group.bench_with_input(BenchmarkId::new("refute_lazy_cold", n), &n, |b, _| {
-                b.iter(|| assert!(!GammaProver::new().check_max_inequality(&refute).is_valid()))
+                b.iter(|| assert!(!lazy(&mut GammaProver::new(), &refute).is_valid()))
             });
         }
     }
@@ -192,14 +190,21 @@ fn bench_warm_start(c: &mut Criterion) {
     group.sample_size(10);
     for n in [4usize, 5] {
         let lp = shannon_cone_problem(n, 2);
-        let (solution, basis) = lp.solve_from(None);
+        let unlimited = Budget::unlimited();
+        let (solution, basis) = lp.solve_from(None, &unlimited).unwrap();
         assert!(solution.is_optimal());
         let basis: LpBasis = basis.expect("cone probe has a clean optimal basis");
         group.bench_with_input(BenchmarkId::new("cold", n), &n, |bencher, _| {
-            bencher.iter(|| assert!(lp.solve_from(None).0.is_optimal()))
+            bencher.iter(|| assert!(lp.solve_from(None, &unlimited).unwrap().0.is_optimal()))
         });
         group.bench_with_input(BenchmarkId::new("warm", n), &n, |bencher, _| {
-            bencher.iter(|| assert!(lp.solve_from(Some(&basis)).0.is_optimal()))
+            bencher.iter(|| {
+                assert!(lp
+                    .solve_from(Some(&basis), &unlimited)
+                    .unwrap()
+                    .0
+                    .is_optimal())
+            })
         });
     }
     group.finish();

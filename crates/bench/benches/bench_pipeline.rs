@@ -8,11 +8,10 @@
 //!   parallel-blocks family generalizes Example 3.5: `m` blocks put the
 //!   LP-only path on a `Γ_{2m}` refutation while the refuter counts
 //!   homomorphisms on an `m`-block canonical database.
-//! * **Pipeline overhead** (`pipeline/overhead/*`) — on LP-bound scenarios
-//!   (cycle ⊑ path, containment holds, every screen passes through) the
-//!   staged pipeline with trace collection must stay within 10% of the
-//!   pre-refactor monolith (`bqc_core::legacy`), i.e.
-//!   `legacy / pipeline ≥ 0.909`.
+//! * **LP-bound decisions** (`pipeline/overhead/pipeline/*`) — cycle ⊑ path,
+//!   containment holds, every screen passes through and the Γ_k LP decides:
+//!   the worst case for pipeline bookkeeping, trace collection included,
+//!   tracked by the regression threshold.
 //! * **Stage mix under serving** (`pipeline/stage_mix/*`) — a cold engine
 //!   batch over a workload hitting every stage outcome (identity, hom
 //!   screen, refuter via canonical database and via the random family, LP
@@ -29,9 +28,9 @@
 //!   the experiment E18 overhead policy.
 
 use bqc_bench::{cycle_query, parallel_blocks_query, path_query, spread_query, stage_mix_workload};
-use bqc_core::legacy::decide_containment_legacy;
-use bqc_core::{decide_containment_with, DecideOptions};
+use bqc_core::{decide_containment_traced, ContainmentAnswer, DecideContext, DecideOptions};
 use bqc_engine::{Engine, EngineOptions};
+use bqc_relational::ConjunctiveQuery;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
@@ -45,6 +44,18 @@ fn decide_options(counting_refuter: bool) -> DecideOptions {
     }
 }
 
+/// One decision on a fresh context, as every `bqc` request without a
+/// shared context makes it.
+fn decide(
+    q1: &ConjunctiveQuery,
+    q2: &ConjunctiveQuery,
+    options: &DecideOptions,
+) -> ContainmentAnswer {
+    decide_containment_traced(&mut DecideContext::new(), q1, q2, options)
+        .unwrap()
+        .answer
+}
+
 fn bench_refutable(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline/refutable");
     group.sample_size(10);
@@ -55,14 +66,14 @@ fn bench_refutable(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lp_only", m), &m, |b, _| {
             let options = decide_options(false);
             b.iter(|| {
-                let answer = decide_containment_with(&q1, &q2, &options).unwrap();
+                let answer = decide(&q1, &q2, &options);
                 assert!(answer.is_not_contained());
             })
         });
         group.bench_with_input(BenchmarkId::new("refuter", m), &m, |b, _| {
             let options = decide_options(true);
             b.iter(|| {
-                let answer = decide_containment_with(&q1, &q2, &options).unwrap();
+                let answer = decide(&q1, &q2, &options);
                 assert!(answer.is_not_contained());
             })
         });
@@ -77,23 +88,14 @@ fn bench_overhead(c: &mut Criterion) {
     // cycle_k ⊑ path_{k-1}: containment holds, so every cheap screen (and
     // the refuter's candidate databases) passes through and the Γ_k LP
     // decides — the worst case for pipeline bookkeeping, trace collection
-    // included.  The CI floor gates k=6, where the LP dominates and the
-    // ratio is a clean overhead measurement; k=4 and k=5 are tracked by the
-    // regression threshold and document the screen cost on small LPs.
+    // included.  k=4 and k=5 document the screen cost on small LPs.
     for k in [4usize, 5, 6] {
         let cycle = cycle_query(k);
         let path = path_query(k - 1);
-        group.bench_with_input(BenchmarkId::new("legacy", k), &k, |b, _| {
-            let options = decide_options(true);
-            b.iter(|| {
-                let answer = decide_containment_legacy(&cycle, &path, &options).unwrap();
-                assert!(answer.is_contained());
-            })
-        });
         group.bench_with_input(BenchmarkId::new("pipeline", k), &k, |b, _| {
             let options = decide_options(true);
             b.iter(|| {
-                let answer = decide_containment_with(&cycle, &path, &options).unwrap();
+                let answer = decide(&cycle, &path, &options);
                 assert!(answer.is_contained());
             })
         });
@@ -127,7 +129,7 @@ fn bench_budget(c: &mut Criterion) {
                 options.budget.max_hom_steps = Some(u64::MAX);
             }
             b.iter(|| {
-                let answer = decide_containment_with(&cycle, &path, &options).unwrap();
+                let answer = decide(&cycle, &path, &options);
                 assert!(answer.is_contained());
             })
         });

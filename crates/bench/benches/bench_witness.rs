@@ -3,7 +3,7 @@
 //! Measures (a) the full decide-then-extract-then-verify loop on Example 3.5
 //! and (b) hand-written normal-witness verification as the witness grows.
 
-use bqc_core::{decide_containment_with, verify_witness, DecideOptions};
+use bqc_core::{decide_containment_traced, verify_witness, Budget, DecideContext, DecideOptions};
 use bqc_relational::{parse_query, VRelation, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::BTreeSet;
@@ -40,7 +40,8 @@ fn bench_decide_and_extract(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("decide+extract+verify", |b| {
         b.iter(|| {
-            let answer = decide_containment_with(
+            let answer = decide_containment_traced(
+                &mut DecideContext::new(),
                 &q1,
                 &q2,
                 // The counting refuter would short-circuit Example 3.5 before
@@ -53,13 +54,15 @@ fn bench_decide_and_extract(c: &mut Criterion) {
                     ..DecideOptions::default()
                 },
             )
-            .unwrap();
+            .unwrap()
+            .answer;
             assert!(answer.is_not_contained());
         })
     });
     group.bench_function("decide_only", |b| {
         b.iter(|| {
-            let answer = decide_containment_with(
+            let answer = decide_containment_traced(
+                &mut DecideContext::new(),
                 &q1,
                 &q2,
                 &DecideOptions {
@@ -68,7 +71,8 @@ fn bench_decide_and_extract(c: &mut Criterion) {
                     ..DecideOptions::default()
                 },
             )
-            .unwrap();
+            .unwrap()
+            .answer;
             assert!(answer.is_not_contained());
         })
     });
@@ -83,7 +87,9 @@ fn bench_witness_verification(c: &mut Criterion) {
         let witness = paper_witness(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                let verified = verify_witness(&q1, &q2, &witness).expect("witness verifies");
+                let verified = verify_witness(&q1, &q2, &witness, &Budget::unlimited())
+                    .unwrap()
+                    .expect("witness verifies");
                 assert!(verified.hom_q1 > verified.hom_q2);
             })
         });

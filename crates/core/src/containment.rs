@@ -17,9 +17,9 @@ use crate::et::et_expression;
 use bqc_arith::Rational;
 use bqc_entropy::{ConditionalExpr, EntropyExpr};
 use bqc_hypergraph::TreeDecomposition;
-use bqc_iip::MaxInequality;
+use bqc_iip::{GammaProver, MaxInequality};
 use bqc_obs::{Budget, Exhausted};
-use bqc_relational::{enumerate_homomorphisms_budgeted, ConjunctiveQuery, Value};
+use bqc_relational::{enumerate_homomorphisms, ConjunctiveQuery, Value};
 use std::collections::BTreeMap;
 
 /// A homomorphism `φ : Q2 → Q1` between queries, i.e. a mapping from `Q2`'s
@@ -27,23 +27,17 @@ use std::collections::BTreeMap;
 pub type QueryHomomorphism = BTreeMap<String, String>;
 
 /// Enumerates the homomorphisms `φ ∈ hom(Q2, Q1)` by evaluating `Q2` on the
-/// canonical structure of `Q1`.
-pub fn query_homomorphisms(q2: &ConjunctiveQuery, q1: &ConjunctiveQuery) -> Vec<QueryHomomorphism> {
-    query_homomorphisms_budgeted(q2, q1, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`query_homomorphisms`] under a cooperative work budget: charges one
+/// canonical structure of `Q1`, under a cooperative work budget: charges one
 /// hom-step per node of the backtracking search and aborts with
 /// `Err(Exhausted)` when the budget runs out.  An aborted enumeration
 /// certifies nothing (it must not be read as `hom(Q2, Q1) = ∅`).
-pub fn query_homomorphisms_budgeted(
+pub fn query_homomorphisms(
     q2: &ConjunctiveQuery,
     q1: &ConjunctiveQuery,
     budget: &Budget,
 ) -> Result<Vec<QueryHomomorphism>, Exhausted> {
     let canonical = q1.canonical_structure();
-    Ok(enumerate_homomorphisms_budgeted(q2, &canonical, budget)?
+    Ok(enumerate_homomorphisms(q2, &canonical, budget)?
         .into_iter()
         .map(|assignment| {
             assignment
@@ -71,7 +65,9 @@ pub fn containment_inequality(
     q2: &ConjunctiveQuery,
     td: &TreeDecomposition,
 ) -> Option<(MaxInequality, Vec<ConditionalExpr>)> {
-    containment_inequality_from_homs(q1, td, &query_homomorphisms(q2, q1))
+    let homomorphisms =
+        query_homomorphisms(q2, q1, &Budget::unlimited()).expect("unlimited budget cannot exhaust");
+    containment_inequality_from_homs(q1, td, &homomorphisms)
 }
 
 /// [`containment_inequality`] with the homomorphisms `hom(Q2, Q1)` supplied
@@ -111,7 +107,10 @@ pub fn sufficient_containment_check(
 ) -> bool {
     match containment_inequality(q1, q2, td) {
         None => false,
-        Some((inequality, _)) => bqc_iip::check_max_inequality(&inequality).is_valid(),
+        Some((inequality, _)) => GammaProver::new()
+            .check_max_inequality(&inequality, &Budget::unlimited())
+            .expect("unlimited budget cannot exhaust")
+            .is_valid(),
     }
 }
 
@@ -120,6 +119,14 @@ mod tests {
     use super::*;
     use bqc_hypergraph::{junction_tree, Graph};
     use bqc_relational::parse_query;
+
+    /// Shannon-cone validity on a fresh prover, no budget.
+    fn shannon_valid(inequality: &MaxInequality) -> bool {
+        GammaProver::new()
+            .check_max_inequality(inequality, &Budget::unlimited())
+            .unwrap()
+            .is_valid()
+    }
 
     fn junction_tree_of(q: &ConjunctiveQuery) -> TreeDecomposition {
         let graph = Graph::from_cliques(q.hyperedges());
@@ -131,7 +138,7 @@ mod tests {
         // Example 4.3: three homomorphisms from the 2-star into the triangle.
         let triangle = parse_query("Q1() :- R(x1,x2), R(x2,x3), R(x3,x1)").unwrap();
         let star = parse_query("Q2() :- R(y1,y2), R(y1,y3)").unwrap();
-        let homs = query_homomorphisms(&star, &triangle);
+        let homs = query_homomorphisms(&star, &triangle, &Budget::unlimited()).unwrap();
         assert_eq!(homs.len(), 3);
         for phi in &homs {
             // y2 and y3 must both be the successor of y1 in the triangle.
@@ -151,7 +158,7 @@ mod tests {
             containment_inequality(&triangle, &star, &td).expect("homomorphisms exist");
         assert_eq!(inequality.num_disjuncts(), 3);
         assert!(composed.iter().all(|e| e.is_simple()));
-        assert!(bqc_iip::check_max_inequality(&inequality).is_valid());
+        assert!(shannon_valid(&inequality));
         assert!(sufficient_containment_check(&triangle, &star, &td));
     }
 
@@ -168,7 +175,7 @@ mod tests {
         let (inequality, composed) =
             containment_inequality(&q1, &q2, &td).expect("homomorphisms exist");
         assert!(composed.iter().all(|e| e.is_simple()));
-        assert!(!bqc_iip::check_max_inequality(&inequality).is_valid());
+        assert!(!shannon_valid(&inequality));
     }
 
     #[test]

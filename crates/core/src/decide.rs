@@ -5,9 +5,11 @@
 //! cheap structural screens (Boolean reduction, syntactic identity,
 //! hom-existence, junction tree, the counting refuter) in front of the one
 //! expensive Shannon-cone LP and, on refutation, witness materialization.
-//! [`decide_containment_traced`] returns the same answer together with the
-//! per-stage [`DecisionTrace`](crate::pipeline::DecisionTrace); the plain
-//! entry points discard the trace.
+//! [`decide_containment_traced`] is the one configurable entry point: it
+//! takes a reusable [`DecideContext`] and [`DecideOptions`] and returns the
+//! answer together with the per-stage
+//! [`DecisionTrace`](crate::pipeline::DecisionTrace).  [`decide_containment`]
+//! is its default-options shorthand and discards the trace.
 //!
 //! The possible answers are unchanged from the paper's procedure:
 //!
@@ -245,7 +247,7 @@ impl std::fmt::Display for DecideError {
 
 impl std::error::Error for DecideError {}
 
-/// Tuning knobs for [`decide_containment_with`].
+/// Tuning knobs for [`decide_containment_traced`].
 #[derive(Clone, Debug)]
 pub struct DecideOptions {
     /// Maximum number of rows a materialized witness relation may have.
@@ -254,8 +256,9 @@ pub struct DecideOptions {
     pub extract_witness: bool,
     /// Whether the counting-refuter stage may run (sound fast refutation by
     /// hom-counting on small databases before any LP work; see
-    /// [`crate::pipeline::CountingRefuter`]).  Disable to reproduce the
-    /// LP-only cost profile of the pre-refactor procedure.
+    /// [`crate::pipeline::CountingRefuter`]).  Disable to send every
+    /// decidable instance through the Shannon-cone LP and witness stages
+    /// instead; verdicts do not change.
     pub counting_refuter: bool,
     /// Resource budget for the decision: a wall-clock deadline and/or caps
     /// on LP pivots, separation rounds and hom-steps, checked cooperatively
@@ -348,31 +351,14 @@ fn standard_pipeline() -> &'static DecisionPipeline {
     PIPELINE.get_or_init(DecisionPipeline::standard)
 }
 
-/// Decides `Q1 ⊑ Q2` under bag-set semantics with default options.
+/// Decides `Q1 ⊑ Q2` under bag-set semantics with default options (a fresh
+/// context, the trace discarded).
 pub fn decide_containment(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
 ) -> Result<ContainmentAnswer, DecideError> {
-    decide_containment_with(q1, q2, &DecideOptions::default())
-}
-
-/// Decides `Q1 ⊑ Q2` under bag-set semantics.
-pub fn decide_containment_with(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    options: &DecideOptions,
-) -> Result<ContainmentAnswer, DecideError> {
-    decide_containment_in(&mut DecideContext::new(), q1, q2, options)
-}
-
-/// Decides `Q1 ⊑ Q2` under bag-set semantics, reusing `ctx` across calls.
-pub fn decide_containment_in(
-    ctx: &mut DecideContext,
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-    options: &DecideOptions,
-) -> Result<ContainmentAnswer, DecideError> {
-    decide_containment_traced(ctx, q1, q2, options).map(|decision| decision.answer)
+    decide_containment_traced(&mut DecideContext::new(), q1, q2, &DecideOptions::default())
+        .map(|decision| decision.answer)
 }
 
 /// Decides `Q1 ⊑ Q2` and returns the answer together with its
@@ -402,6 +388,17 @@ mod tests {
     use super::*;
     use crate::witness::exhaustive_containment_check;
     use bqc_relational::parse_query;
+
+    /// One decision under `options` on a fresh context.
+    fn decide_with(
+        q1: &ConjunctiveQuery,
+        q2: &ConjunctiveQuery,
+        options: &DecideOptions,
+    ) -> ContainmentAnswer {
+        decide_containment_traced(&mut DecideContext::new(), q1, q2, options)
+            .unwrap()
+            .answer
+    }
 
     #[test]
     fn example_4_3_triangle_contained_in_two_star() {
@@ -440,7 +437,7 @@ mod tests {
             counting_refuter: false,
             ..DecideOptions::default()
         };
-        let answer = decide_containment_with(&q1, &q2, &options).unwrap();
+        let answer = decide_with(&q1, &q2, &options);
         match answer {
             ContainmentAnswer::NotContained {
                 witness,
@@ -562,7 +559,7 @@ mod tests {
         for (t1, t2) in cases {
             let q1 = parse_query(t1).unwrap();
             let q2 = parse_query(t2).unwrap();
-            let answer = decide_containment_with(&q1, &q2, &options).unwrap();
+            let answer = decide_with(&q1, &q2, &options);
             match answer {
                 ContainmentAnswer::NotContained { witness, .. } => {
                     assert!(witness.is_none(), "{t1} vs {t2} must skip the witness")
@@ -639,9 +636,9 @@ mod tests {
             for (t1, t2) in sequence {
                 let q1 = parse_query(t1).unwrap();
                 let q2 = parse_query(t2).unwrap();
-                let warm = decide_containment_in(&mut shared, &q1, &q2, &options).unwrap();
-                let cold = decide_containment_with(&q1, &q2, &options).unwrap();
-                assert_eq!(warm.summary(), cold.summary(), "{t1} vs {t2}");
+                let warm = decide_containment_traced(&mut shared, &q1, &q2, &options).unwrap();
+                let cold = decide_with(&q1, &q2, &options);
+                assert_eq!(warm.answer.summary(), cold.summary(), "{t1} vs {t2}");
             }
         }
     }
@@ -709,7 +706,7 @@ mod tests {
             },
             ..DecideOptions::default()
         };
-        let roomy = decide_containment_with(&triangle, &star, &generous).unwrap();
+        let roomy = decide_with(&triangle, &star, &generous);
         assert_eq!(roomy.summary(), unbudgeted.summary());
     }
 
@@ -724,7 +721,7 @@ mod tests {
             },
             ..DecideOptions::default()
         };
-        let answer = decide_containment_with(&q1, &q2, &starved).unwrap();
+        let answer = decide_with(&q1, &q2, &starved);
         match answer {
             ContainmentAnswer::Unknown {
                 obstruction:
@@ -738,6 +735,46 @@ mod tests {
         // An aborted hom scan must never masquerade as `hom(Q2,Q1) = ∅`
         // (which would be a wrong NotContained: the pair is contained).
         assert!(decide_containment(&q1, &q2).unwrap().is_contained());
+    }
+
+    #[test]
+    fn exhausted_hom_step_budget_aborts_witness_materialization() {
+        // Example 3.5 with the refuter off: hom-existence is the only stage
+        // before the witness that charges hom-steps, and the Γ_n refutation
+        // hands a polymatroid to witness materialization.
+        let q1 =
+            parse_query("Q1() :- A(x1,x2), B(x1,x2), C(x1,x2), A(x1',x2'), B(x1',x2'), C(x1',x2')")
+                .unwrap();
+        let q2 = parse_query("Q2() :- A(y1,y2), B(y1,y3), C(y4,y2)").unwrap();
+        // A cap of exactly what the hom-existence screen spends lets every
+        // earlier stage finish; the witness's verification counts cannot.
+        let meter = BudgetSpec {
+            max_hom_steps: Some(u64::MAX),
+            ..BudgetSpec::UNLIMITED
+        }
+        .start();
+        crate::containment::query_homomorphisms(&q2, &q1, &meter).unwrap();
+        let capped = DecideOptions {
+            counting_refuter: false,
+            budget: BudgetSpec {
+                max_hom_steps: Some(meter.hom_steps_spent()),
+                ..BudgetSpec::UNLIMITED
+            },
+            ..DecideOptions::default()
+        };
+        let decision =
+            decide_containment_traced(&mut DecideContext::new(), &q1, &q2, &capped).unwrap();
+        assert_eq!(decision.trace.decided_by(), Some("witness-materialization"));
+        match decision.answer {
+            ContainmentAnswer::Unknown {
+                obstruction:
+                    Obstruction::ResourceExhausted {
+                        resource: BudgetResource::HomSteps,
+                    },
+                ..
+            } => {}
+            other => panic!("expected hom-step-exhausted Unknown, got {other:?}"),
+        }
     }
 
     #[test]

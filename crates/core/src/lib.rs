@@ -17,8 +17,6 @@
 //!   structural screens, the counting refuter, the Shannon-cone LP, witness
 //!   materialization), every answer carrying a structured
 //!   [`pipeline::DecisionTrace`];
-//! * [`legacy`] — the pre-refactor monolithic procedure, preserved verbatim
-//!   as the equivalence-test oracle and benchmark baseline;
 //! * [`oracle`] — the differential counting oracle: consensus homomorphism
 //!   counting (backtracking vs junction-tree DP vs brute-force enumeration)
 //!   and verdict replay against explicit database families, the independent
@@ -54,7 +52,6 @@
 pub mod containment;
 pub mod decide;
 pub mod et;
-pub mod legacy;
 // The oracle's `Err` is the full diagnostic (separating database, claimed
 // vs recomputed counts) and only materializes when a checker finds a bug —
 // the cold path by definition, so the large-variant lint does not apply.
@@ -68,11 +65,11 @@ pub mod yannakakis;
 
 pub use containment::{
     containment_inequality, containment_inequality_from_homs, query_homomorphisms,
-    query_homomorphisms_budgeted, sufficient_containment_check, QueryHomomorphism,
+    sufficient_containment_check, QueryHomomorphism,
 };
 pub use decide::{
-    decide_containment, decide_containment_in, decide_containment_traced, decide_containment_with,
-    AnswerSummary, ContainmentAnswer, DecideContext, DecideError, DecideOptions, Obstruction,
+    decide_containment, decide_containment_traced, AnswerSummary, ContainmentAnswer, DecideContext,
+    DecideError, DecideOptions, Obstruction,
 };
 pub use pipeline::{
     Decision, DecisionPipeline, DecisionStage, DecisionTrace, StageReport, StageStatus,

@@ -31,6 +31,7 @@ use crate::decide::{AnswerSummary, ContainmentAnswer, Obstruction};
 use crate::reductions::{boolean_reduction, saturate_pair};
 use crate::witness::NonContainmentWitness;
 use bqc_hypergraph::{junction_tree, Graph};
+use bqc_obs::Budget;
 use bqc_relational::{bag_set_answer, count_homomorphisms, ConjunctiveQuery, Structure, Tuple};
 use std::fmt;
 
@@ -212,7 +213,8 @@ pub fn naive_count(query: &ConjunctiveQuery, data: &Structure) -> Option<u128> {
 /// enumeration when affordable.  Any disagreement is reported as a
 /// [`Discrepancy::CounterMismatch`] instead of a count.
 pub fn checked_count(query: &ConjunctiveQuery, data: &Structure) -> Result<u128, Discrepancy> {
-    let backtracking = count_homomorphisms(query, data);
+    let backtracking = count_homomorphisms(query, data, &Budget::unlimited())
+        .expect("unlimited budget cannot exhaust");
     let mut counts: Vec<(&'static str, u128)> = vec![("backtracking", backtracking)];
     if let Some(dp) = crate::yannakakis::count_homomorphisms_acyclic(query, data) {
         counts.push(("junction-tree-dp", dp));
@@ -375,7 +377,8 @@ fn actual_obstruction(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> Option<Ob
     let Some(td) = junction_tree(&gaifman) else {
         return Some(Obstruction::NotChordal);
     };
-    let homomorphisms = query_homomorphisms(q2, q1);
+    let homomorphisms =
+        query_homomorphisms(q2, q1, &Budget::unlimited()).expect("unlimited budget cannot exhaust");
     let Some((_, composed)) = containment_inequality_from_homs(q1, &td, &homomorphisms) else {
         // No homomorphism Q2 → Q1: the pipeline decides NotContained before
         // ever classifying, so no obstruction applies.
@@ -489,7 +492,10 @@ mod tests {
     fn naive_count_matches_backtracking() {
         let q = parse_query("Q() :- R(x,y), R(y,z)").unwrap();
         let d = db("R(1,2). R(2,3). R(3,1). R(2,2).");
-        assert_eq!(naive_count(&q, &d), Some(count_homomorphisms(&q, &d)));
+        assert_eq!(
+            naive_count(&q, &d),
+            Some(count_homomorphisms(&q, &d, &Budget::unlimited()).unwrap())
+        );
         let zero_vars = parse_query("Q() :- R(x,x)").unwrap();
         let empty = Structure::empty();
         assert_eq!(naive_count(&zero_vars, &empty), Some(0));

@@ -22,8 +22,7 @@
 use crate::witness::{verify_witness, NonContainmentWitness};
 use bqc_obs::{Budget, Exhausted};
 use bqc_relational::{
-    count_homomorphisms, count_homomorphisms_budgeted, enumerate_homomorphisms, ConjunctiveQuery,
-    Structure, VRelation, Value,
+    count_homomorphisms, enumerate_homomorphisms, ConjunctiveQuery, Structure, VRelation, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,26 +92,21 @@ impl CountRefutation {
 }
 
 /// Counts `|hom(query, data)|`, preferring the acyclic junction-tree DP and
-/// falling back to exact backtracking for cyclic queries.
-pub fn count_homomorphisms_fast(query: &ConjunctiveQuery, data: &Structure) -> u128 {
-    crate::yannakakis::count_homomorphisms_acyclic(query, data)
-        .unwrap_or_else(|| count_homomorphisms(query, data))
-}
-
-/// [`count_homomorphisms_fast`] under a cooperative work budget.  Limited
-/// budgets count by budgeted backtracking instead of the (budget-oblivious)
+/// falling back to exact backtracking for cyclic queries.  Limited budgets
+/// count by budgeted backtracking instead of the (budget-oblivious)
 /// junction-tree DP; both counters are exact, so the count — and hence every
 /// verdict derived from it — is the same either way.
-fn count_homomorphisms_fast_budgeted(
+fn count_homomorphisms_fast(
     query: &ConjunctiveQuery,
     data: &Structure,
     budget: &Budget,
 ) -> Result<u128, Exhausted> {
     if budget.is_unlimited() {
-        Ok(count_homomorphisms_fast(query, data))
-    } else {
-        count_homomorphisms_budgeted(query, data, budget)
+        if let Some(count) = crate::yannakakis::count_homomorphisms_acyclic(query, data) {
+            return Ok(count);
+        }
     }
+    count_homomorphisms(query, data, budget)
 }
 
 /// Runs the counting refuter on a (Boolean) containment instance: evaluates
@@ -121,22 +115,12 @@ fn count_homomorphisms_fast_budgeted(
 /// LP being avoided is expensive — on the deterministic random family,
 /// returning the first separation found.
 ///
-/// `None` means *inconclusive* — containment may still fail on a database
-/// outside the family; a `Some` is an unconditional proof of `Q1 ⋢ Q2`
-/// (Fact 3.2).
+/// `Ok(None)` means *inconclusive* — containment may still fail on a
+/// database outside the family; an `Ok(Some(_))` is an unconditional proof of
+/// `Q1 ⋢ Q2` (Fact 3.2).  The hom counts charge hom-steps to `budget`, and
+/// the scan aborts with `Err(Exhausted)` when it runs out; `Err` certifies
+/// nothing — in particular it is not an inconclusive but completed scan.
 pub fn counting_refutation(
-    q1: &ConjunctiveQuery,
-    q2: &ConjunctiveQuery,
-) -> Option<CountRefutation> {
-    counting_refutation_budgeted(q1, q2, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`counting_refutation`] under a cooperative work budget: the hom counts
-/// charge hom-steps and the scan aborts with `Err(Exhausted)` when the
-/// budget runs out.  `Err` certifies nothing — in particular it is not an
-/// `Ok(None)` (inconclusive but completed) scan.
-pub fn counting_refutation_budgeted(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     budget: &Budget,
@@ -170,23 +154,25 @@ pub fn counting_refutation_budgeted(
 /// relation would exceed `max_rows` — possible when `Q1` has many
 /// homomorphisms into even a tiny database (e.g. many disconnected
 /// components), in which case the refuter stage defers to the LP path
-/// rather than returning a witness-free refutation.
+/// rather than returning a witness-free refutation.  The enumeration and the
+/// verification counts charge `budget`.
 pub fn witness_from_refutation(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     refutation: &CountRefutation,
     max_rows: u64,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     if refutation.hom_q1 > max_rows as u128 {
-        return None;
+        return Ok(None);
     }
     let columns: Vec<String> = q1.vars().to_vec();
-    let rows: Vec<Vec<Value>> = enumerate_homomorphisms(q1, &refutation.database)
+    let rows: Vec<Vec<Value>> = enumerate_homomorphisms(q1, &refutation.database, budget)?
         .into_iter()
         .map(|assignment| columns.iter().map(|v| assignment[v].clone()).collect())
         .collect();
     let relation = VRelation::from_rows(columns, rows);
-    verify_witness(q1, q2, &relation)
+    verify_witness(q1, q2, &relation, budget)
 }
 
 fn check_candidate(
@@ -196,12 +182,12 @@ fn check_candidate(
     candidate: usize,
     budget: &Budget,
 ) -> Result<Option<CountRefutation>, Exhausted> {
-    let hom_q1 = count_homomorphisms_fast_budgeted(q1, &database, budget)?;
+    let hom_q1 = count_homomorphisms_fast(q1, &database, budget)?;
     if hom_q1 == 0 {
         // hom(Q2) can't be beaten by an empty count; skip the second count.
         return Ok(None);
     }
-    let hom_q2 = count_homomorphisms_fast_budgeted(q2, &database, budget)?;
+    let hom_q2 = count_homomorphisms_fast(q2, &database, budget)?;
     Ok(if hom_q1 > hom_q2 {
         Some(CountRefutation {
             database,
@@ -266,7 +252,9 @@ mod tests {
             parse_query("Q1() :- A(x1,x2), B(x1,x2), C(x1,x2), A(x1',x2'), B(x1',x2'), C(x1',x2')")
                 .unwrap();
         let q2 = parse_query("Q2() :- A(y1,y2), B(y1,y3), C(y4,y2)").unwrap();
-        let refutation = counting_refutation(&q1, &q2).expect("counts disagree");
+        let refutation = counting_refutation(&q1, &q2, &Budget::unlimited())
+            .unwrap()
+            .expect("counts disagree");
         assert_eq!(refutation.candidate, 0);
         assert_eq!(refutation.candidate_label(), "canonical database of Q1");
         // Two blocks, each mappable to either block: 2^2 = 4 Q1-homs; the
@@ -281,16 +269,20 @@ mod tests {
         // candidate database may separate the counts.
         let triangle = parse_query("Q1() :- R(x1,x2), R(x2,x3), R(x3,x1)").unwrap();
         let star = parse_query("Q2() :- R(y1,y2), R(y1,y3)").unwrap();
-        assert!(counting_refutation(&triangle, &star).is_none());
-        assert!(counting_refutation(&star, &star).is_none());
+        assert!(counting_refutation(&triangle, &star, &Budget::unlimited())
+            .unwrap()
+            .is_none());
+        assert!(counting_refutation(&star, &star, &Budget::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn refuter_is_deterministic() {
         let q1 = parse_query("Q1() :- R(u,v), R(u,w)").unwrap();
         let q2 = parse_query("Q2() :- R(x,y), R(y,z)").unwrap();
-        let first = counting_refutation(&q1, &q2);
-        let second = counting_refutation(&q1, &q2);
+        let first = counting_refutation(&q1, &q2, &Budget::unlimited()).unwrap();
+        let second = counting_refutation(&q1, &q2, &Budget::unlimited()).unwrap();
         match (&first, &second) {
             (None, None) => {}
             (Some(a), Some(b)) => {
@@ -308,8 +300,8 @@ mod tests {
         let triangle = parse_query("Q() :- R(x,y), R(y,z), R(z,x)").unwrap();
         let db = triangle.canonical_structure();
         assert_eq!(
-            count_homomorphisms_fast(&triangle, &db),
-            count_homomorphisms(&triangle, &db)
+            count_homomorphisms_fast(&triangle, &db, &Budget::unlimited()).unwrap(),
+            count_homomorphisms(&triangle, &db, &Budget::unlimited()).unwrap()
         );
     }
 }

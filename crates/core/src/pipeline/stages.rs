@@ -15,15 +15,16 @@
 //! 7. [`WitnessMaterialization`] — Lemma 3.7 + Lemma 4.8 witness extraction
 //!    from the violating polymatroid.
 
-use crate::containment::{containment_inequality_from_homs, query_homomorphisms_budgeted};
+use crate::containment::{containment_inequality_from_homs, query_homomorphisms};
 use crate::decide::{ContainmentAnswer, DecideError, Obstruction};
 use crate::reductions::{boolean_reduction, saturate_pair};
 use crate::witness::{verify_witness, witness_from_counterexample, NonContainmentWitness};
 use bqc_hypergraph::{junction_tree, Graph, TreeDecomposition};
 use bqc_iip::GammaValidity;
+use bqc_obs::{Budget, Exhausted};
 use bqc_relational::{ConjunctiveQuery, VRelation, Value};
 
-use super::refuter::{candidate_count, counting_refutation_budgeted, witness_from_refutation};
+use super::refuter::{candidate_count, counting_refutation, witness_from_refutation};
 use super::{budget_exhausted_result, DecisionStage, PipelineState, StageResult};
 
 /// Lemma A.1: queries with head variables are replaced by their Boolean
@@ -112,22 +113,12 @@ impl DecisionStage for HomExistence {
     }
 
     fn run(&self, state: &mut PipelineState<'_>) -> Result<StageResult, DecideError> {
-        let homomorphisms = match query_homomorphisms_budgeted(&state.q2, &state.q1, &state.budget)
-        {
+        let homomorphisms = match query_homomorphisms(&state.q2, &state.q1, &state.budget) {
             Ok(homomorphisms) => homomorphisms,
             Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
         };
         if homomorphisms.is_empty() {
-            let witness = if state.options.extract_witness {
-                canonical_witness(&state.q1, &state.q2)
-            } else {
-                None
-            };
-            return Ok(StageResult::decided(ContainmentAnswer::NotContained {
-                witness,
-                counterexample: None,
-            })
-            .with_note("no homomorphism Q2 → Q1".to_string()));
+            return Ok(no_homomorphism_result(state));
         }
         let note = format!("{} homomorphism(s) Q2 → Q1", homomorphisms.len());
         state.homomorphisms = Some(homomorphisms);
@@ -154,7 +145,7 @@ impl DecisionStage for JunctionTree {
     fn run(&self, state: &mut PipelineState<'_>) -> Result<StageResult, DecideError> {
         if state.homomorphisms.is_none() {
             // Defensive for custom stage lists that skipped the screen.
-            match query_homomorphisms_budgeted(&state.q2, &state.q1, &state.budget) {
+            match query_homomorphisms(&state.q2, &state.q1, &state.budget) {
                 Ok(homomorphisms) => state.homomorphisms = Some(homomorphisms),
                 Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
             }
@@ -193,16 +184,7 @@ impl DecisionStage for JunctionTree {
             // Unreachable after the hom-existence screen, but a custom
             // pipeline may have skipped it: no homomorphism means not
             // contained, as in that screen.
-            let witness = if state.options.extract_witness {
-                canonical_witness(&state.q1, &state.q2)
-            } else {
-                None
-            };
-            return Ok(StageResult::decided(ContainmentAnswer::NotContained {
-                witness,
-                counterexample: None,
-            })
-            .with_note("no homomorphism Q2 → Q1".to_string()));
+            return Ok(no_homomorphism_result(state));
         };
         let simple = td.is_simple() && composed.iter().all(|e| e.is_simple());
         state.decidable = !state.single_bag_fallback && simple;
@@ -254,21 +236,25 @@ impl DecisionStage for CountingRefuter {
             return Ok(StageResult::inapplicable()
                 .with_note("outside the decidable class of Theorem 3.1".to_string()));
         }
-        match counting_refutation_budgeted(&state.q1, &state.q2, &state.budget) {
+        match counting_refutation(&state.q1, &state.q2, &state.budget) {
             Err(exhausted) => Ok(budget_exhausted_result(state, exhausted)),
             Ok(Some(refutation)) => {
                 let witness = if state.options.extract_witness {
-                    let witness = witness_from_refutation(
+                    let witness = match witness_from_refutation(
                         &state.q1,
                         &state.q2,
                         &refutation,
                         state.options.witness_max_rows,
-                    );
+                        &state.budget,
+                    ) {
+                        Ok(witness) => witness,
+                        Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
+                    };
                     if witness.is_none() {
                         // The separation is sound, but its homomorphism
                         // relation exceeds the witness budget.  Deciding here
-                        // would return a witness-free answer where the legacy
-                        // LP path might still extract one within budget, so
+                        // would return a witness-free answer where the LP
+                        // path might still extract one within budget, so
                         // defer to the LP + Lemma 3.7 machinery instead.
                         let note = format!(
                             "separation on {} ({} vs {} homomorphisms) exceeds the \
@@ -328,10 +314,7 @@ impl DecisionStage for ShannonLp {
         };
         let disjuncts = inequality.num_disjuncts();
         let budget = state.budget.clone();
-        match state
-            .gamma
-            .check_max_inequality_budgeted(&inequality, &budget)
-        {
+        match state.gamma.check_max_inequality(&inequality, &budget) {
             Err(exhausted) => Ok(budget_exhausted_result(state, exhausted)),
             Ok(GammaValidity::ValidShannon) => {
                 Ok(StageResult::decided(ContainmentAnswer::Contained {
@@ -391,21 +374,21 @@ impl DecisionStage for WitnessMaterialization {
             );
         };
         let (witness, note) = if state.options.extract_witness {
-            let witness = witness_from_counterexample(
-                &state.q1,
-                &state.q2,
-                &counterexample,
-                state.options.witness_max_rows,
-            )
-            .or_else(|| {
-                let (s1, s2) = saturate_pair(&state.q1, &state.q2);
-                witness_from_counterexample(
-                    &s1,
-                    &s2,
-                    &counterexample,
-                    state.options.witness_max_rows,
-                )
-            });
+            let extract = |q1: &ConjunctiveQuery, q2: &ConjunctiveQuery| {
+                let max_rows = state.options.witness_max_rows;
+                witness_from_counterexample(q1, q2, &counterexample, max_rows, &state.budget)
+            };
+            let extracted = match extract(&state.q1, &state.q2) {
+                Ok(None) => {
+                    let (s1, s2) = saturate_pair(&state.q1, &state.q2);
+                    extract(&s1, &s2)
+                }
+                first => first,
+            };
+            let witness = match extracted {
+                Ok(witness) => witness,
+                Err(exhausted) => return Ok(budget_exhausted_result(state, exhausted)),
+            };
             let note = match &witness {
                 Some(w) => format!(
                     "verified witness: {} vs {} homomorphisms",
@@ -425,14 +408,33 @@ impl DecisionStage for WitnessMaterialization {
     }
 }
 
+/// The decided `NotContained` for `hom(Q2, Q1) = ∅`, with the canonical
+/// database of `Q1` as its witness when witnesses are requested.
+fn no_homomorphism_result(state: &PipelineState<'_>) -> StageResult {
+    let witness = if state.options.extract_witness {
+        match canonical_witness(&state.q1, &state.q2, &state.budget) {
+            Ok(witness) => witness,
+            Err(exhausted) => return budget_exhausted_result(state, exhausted),
+        }
+    } else {
+        None
+    };
+    StageResult::decided(ContainmentAnswer::NotContained {
+        witness,
+        counterexample: None,
+    })
+    .with_note("no homomorphism Q2 → Q1".to_string())
+}
+
 /// The canonical database of `Q1` as a witness relation: a single row mapping
 /// every variable to itself.  Used when `hom(Q2, Q1) = ∅`.
-pub(crate) fn canonical_witness(
+fn canonical_witness(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     let columns: Vec<String> = q1.vars().to_vec();
     let row: Vec<Value> = columns.iter().map(|v| Value::text(v.clone())).collect();
     let relation = VRelation::from_rows(columns, vec![row]);
-    verify_witness(q1, q2, &relation)
+    verify_witness(q1, q2, &relation, budget)
 }

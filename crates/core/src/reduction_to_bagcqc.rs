@@ -247,7 +247,8 @@ mod tests {
     use bqc_arith::int;
     use bqc_entropy::EntropyExpr;
     use bqc_hypergraph::Hypergraph;
-    use bqc_iip::{check_max_inequality, uniformize, LinearInequality, MaxInequality};
+    use bqc_iip::{uniformize, GammaProver, LinearInequality, MaxInequality};
+    use bqc_obs::Budget;
     use std::collections::BTreeMap;
 
     fn vars(names: &[&str]) -> Vec<String> {
@@ -331,20 +332,29 @@ mod tests {
         let hypergraph = Hypergraph::new(output.q2.hyperedges());
         let td = hypergraph.join_tree().unwrap();
         let (containment, _) = containment_inequality(&output.q1, &output.q2, &td).unwrap();
-        assert!(check_max_inequality(&containment).is_valid());
+        assert!(GammaProver::new()
+            .check_max_inequality(&containment, &Budget::unlimited())
+            .unwrap()
+            .is_valid());
     }
 
     #[test]
     fn reduction_of_an_invalid_linear_inequality() {
         // 0 <= -h(X): invalid.
         let ineq = LinearInequality::new(vars(&["X"]), expr(&[(-1, &["X"])]));
-        assert!(!check_max_inequality(&ineq.to_max()).is_valid());
+        assert!(!GammaProver::new()
+            .check_max_inequality(&ineq.to_max(), &Budget::unlimited())
+            .unwrap()
+            .is_valid());
         let (output, uniform) = reduce(&ineq.to_max());
         check_lemma_5_4_conditions(&output, &uniform);
         let hypergraph = Hypergraph::new(output.q2.hyperedges());
         let td = hypergraph.join_tree().unwrap();
         let (containment, _) = containment_inequality(&output.q1, &output.q2, &td).unwrap();
-        assert!(!check_max_inequality(&containment).is_valid());
+        assert!(!GammaProver::new()
+            .check_max_inequality(&containment, &Budget::unlimited())
+            .unwrap()
+            .is_valid());
     }
 
     #[test]
@@ -410,7 +420,9 @@ mod tests {
         let d2 = expr(&[(1, &["Y"]), (-1, &["X"])]);
         let max = MaxInequality::new(vars(&["X", "Y"]), vec![d1, d2]);
         let (output, _uniform) = reduce(&max);
-        let homs = crate::containment::query_homomorphisms(&output.q2, &output.q1);
+        let homs =
+            crate::containment::query_homomorphisms(&output.q2, &output.q1, &Budget::unlimited())
+                .unwrap();
         assert!(!homs.is_empty());
         for phi in &homs {
             let z_images: BTreeSet<&String> = phi

@@ -13,6 +13,7 @@
 
 use bqc_arith::Rational;
 use bqc_entropy::{normal_relation_from_function, normalize, NormalFunction, SetFunction};
+use bqc_obs::{Budget, Exhausted};
 use bqc_relational::{count_homomorphisms, ConjunctiveQuery, Structure, VRelation, Value};
 
 /// A verified proof that `Q1 ⋢ Q2`.
@@ -46,32 +47,33 @@ impl NonContainmentWitness {
 /// The stricter `|P|`-based criterion is the one Theorem 3.4's product/normal
 /// witness shapes refer to — Example 3.5 has a normal witness but no product
 /// witness precisely under this definition.
+///
+/// The two hom counts charge `budget` (one hom-step per backtracking node);
+/// `Err` means the budget ran out before the candidate was decided either
+/// way.
 pub fn verify_witness(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     relation: &VRelation,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     if relation.is_empty() {
-        return None;
+        return Ok(None);
     }
     let database = relation.induced_database(q1);
-    let hom_q2 = count_homomorphisms(q2, &database);
+    let hom_q2 = count_homomorphisms(q2, &database, budget)?;
     if (relation.len() as u128) <= hom_q2 {
-        return None;
+        return Ok(None);
     }
-    let hom_q1 = count_homomorphisms(q1, &database);
-    if hom_q1 > hom_q2 {
-        Some(NonContainmentWitness {
-            relation: relation.clone(),
-            database,
-            hom_q1,
-            hom_q2,
-            q1_name: q1.name.clone(),
-            q2_name: q2.name.clone(),
-        })
-    } else {
-        None
-    }
+    let hom_q1 = count_homomorphisms(q1, &database, budget)?;
+    Ok((hom_q1 > hom_q2).then(|| NonContainmentWitness {
+        relation: relation.clone(),
+        database,
+        hom_q1,
+        hom_q2,
+        q1_name: q1.name.clone(),
+        q2_name: q2.name.clone(),
+    }))
 }
 
 /// Extracts a normal witness from a polymatroid counterexample of the
@@ -82,28 +84,32 @@ pub fn verify_witness(
 /// `Q2`'s junction tree is simple), its step coefficients are scaled to
 /// integers, and then the whole function is amplified by `k = 1, 2, …`
 /// (Lemma 4.8) until the materialized normal relation verifies by counting or
-/// the row budget `max_rows` is exhausted.
+/// the row budget `max_rows` is exhausted.  The verification counts charge
+/// `budget`; `Err` means it ran out before a witness was found or ruled out.
 pub fn witness_from_counterexample(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
     counterexample: &SetFunction,
     max_rows: u64,
-) -> Option<NonContainmentWitness> {
+    budget: &Budget,
+) -> Result<Option<NonContainmentWitness>, Exhausted> {
     let normalized = normalize(counterexample);
-    let normal = NormalFunction::try_from_set_function(&normalized)?;
+    let Some(normal) = NormalFunction::try_from_set_function(&normalized) else {
+        return Ok(None);
+    };
     let (integral, _denominator) = normal.clear_denominators();
     for amplification in 1..=16u32 {
         let scaled = scale_normal(&integral, amplification);
         let Some(relation) = normal_relation_from_function(&scaled, max_rows) else {
             // The relation would exceed the row budget; larger amplifications
             // only grow it further.
-            return None;
+            return Ok(None);
         };
-        if let Some(witness) = verify_witness(q1, q2, &relation) {
-            return Some(witness);
+        if let Some(witness) = verify_witness(q1, q2, &relation, budget)? {
+            return Ok(Some(witness));
         }
     }
-    None
+    Ok(None)
 }
 
 fn scale_normal(normal: &NormalFunction, factor: u32) -> NormalFunction {
@@ -142,8 +148,10 @@ pub fn search_product_witness(
                 })
                 .collect();
             let candidate = VRelation::product(&factors);
-            if let Some(witness) = verify_witness(q1, q2, &candidate) {
-                return Some(witness);
+            let verified = verify_witness(q1, q2, &candidate, &Budget::unlimited())
+                .expect("unlimited budget cannot exhaust");
+            if verified.is_some() {
+                return verified;
             }
         }
         // Advance the odometer.
@@ -197,6 +205,7 @@ pub fn exhaustive_containment_check(
         all_facts.len() <= 20,
         "exhaustive check limited to at most 2^20 databases"
     );
+    let unlimited = Budget::unlimited();
     for subset in 0u64..(1 << all_facts.len()) {
         let mut db = Structure::new(vocabulary.clone());
         for (i, (name, tuple)) in all_facts.iter().enumerate() {
@@ -204,7 +213,10 @@ pub fn exhaustive_containment_check(
                 db.add_fact(name, tuple.clone());
             }
         }
-        if count_homomorphisms(q1, &db) > count_homomorphisms(q2, &db) {
+        let count = |q: &ConjunctiveQuery| {
+            count_homomorphisms(q, &db, &unlimited).expect("unlimited budget cannot exhaust")
+        };
+        if count(q1) > count(q2) {
             return Err(db);
         }
     }
@@ -235,7 +247,9 @@ mod tests {
             ("x2'".to_string(), ["v".to_string()].into_iter().collect()),
         ];
         let normal = VRelation::normal_relation(&product, &psi);
-        let witness = verify_witness(&q1, &q2, &normal).expect("P is a witness");
+        let witness = verify_witness(&q1, &q2, &normal, &Budget::unlimited())
+            .unwrap()
+            .expect("P is a witness");
         // |P| = 9, hom(Q2, D) = 3 (the paper: n^2 vs n).
         assert_eq!(witness.hom_q1, 9);
         assert_eq!(witness.hom_q2, 3);
@@ -273,9 +287,17 @@ mod tests {
             ("x2".to_string(), (0..2).map(Value::int).collect()),
             ("x3".to_string(), (0..2).map(Value::int).collect()),
         ]);
-        assert!(verify_witness(&triangle, &star, &candidate).is_none());
+        assert!(
+            verify_witness(&triangle, &star, &candidate, &Budget::unlimited())
+                .unwrap()
+                .is_none()
+        );
         let empty = VRelation::new(triangle.vars().to_vec());
-        assert!(verify_witness(&triangle, &star, &empty).is_none());
+        assert!(
+            verify_witness(&triangle, &star, &empty, &Budget::unlimited())
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -288,7 +310,10 @@ mod tests {
         // The reverse direction fails, and the oracle produces a counterexample.
         match exhaustive_containment_check(&star, &triangle, 2) {
             Err(db) => {
-                assert!(count_homomorphisms(&star, &db) > count_homomorphisms(&triangle, &db));
+                assert!(
+                    count_homomorphisms(&star, &db, &Budget::unlimited()).unwrap()
+                        > count_homomorphisms(&triangle, &db, &Budget::unlimited()).unwrap()
+                );
             }
             Ok(()) => panic!("2-star is not contained in the triangle"),
         }
@@ -309,12 +334,17 @@ mod tests {
         let graph = Graph::from_cliques(q2.hyperedges());
         let td = junction_tree(&graph).unwrap();
         let (inequality, _) = containment_inequality(&q1, &q2, &td).unwrap();
-        let counterexample = match bqc_iip::check_max_inequality(&inequality) {
+        let verdict = bqc_iip::GammaProver::new()
+            .check_max_inequality(&inequality, &Budget::unlimited())
+            .unwrap();
+        let counterexample = match verdict {
             bqc_iip::GammaValidity::NotShannonProvable { counterexample } => counterexample,
             bqc_iip::GammaValidity::ValidShannon => panic!("Example 3.5 must be non-contained"),
         };
-        let witness = witness_from_counterexample(&q1, &q2, &counterexample, 1 << 12)
-            .expect("normal witness must verify");
+        let witness =
+            witness_from_counterexample(&q1, &q2, &counterexample, 1 << 12, &Budget::unlimited())
+                .unwrap()
+                .expect("normal witness must verify");
         assert!(witness.hom_q1 > witness.hom_q2);
     }
 }

@@ -10,7 +10,8 @@
 
 use bqc_core::oracle::{check_answer, checked_count, count_violation, replay_witness};
 use bqc_core::{
-    decide_containment_with, exhaustive_containment_check, ContainmentAnswer, DecideOptions,
+    decide_containment_traced, exhaustive_containment_check, ContainmentAnswer, DecideContext,
+    DecideError, DecideOptions,
 };
 use bqc_relational::{Atom, ConjunctiveQuery, Structure, Value};
 use proptest::prelude::*;
@@ -92,6 +93,15 @@ fn small_family(
     family
 }
 
+/// One decision under `options` on a fresh context.
+fn decide_with(
+    q1: &ConjunctiveQuery,
+    q2: &ConjunctiveQuery,
+    options: &DecideOptions,
+) -> Result<ContainmentAnswer, DecideError> {
+    decide_containment_traced(&mut DecideContext::new(), q1, q2, options).map(|d| d.answer)
+}
+
 /// One full differential check of a pair under one option set.
 fn check_pair(
     q1: &ConjunctiveQuery,
@@ -99,7 +109,7 @@ fn check_pair(
     options: &DecideOptions,
     seed: u64,
 ) -> Result<(), String> {
-    let answer = decide_containment_with(q1, q2, options)
+    let answer = decide_with(q1, q2, options)
         .map_err(|e| format!("decision error for {q1} vs {q2}: {e}"))?;
     let family = small_family(q1, q2, seed);
     let report = check_answer(q1, q2, &answer, &family);
@@ -158,8 +168,8 @@ proptest! {
         // Definite verdicts agree across the refuter toggle (the refuter
         // only ever converts would-be-unknowns/LP work into refutations,
         // never flips a definite verdict).
-        let on = decide_containment_with(&q1, &q2, &DecideOptions::default()).unwrap();
-        let off = decide_containment_with(&q1, &q2, &refuter_off()).unwrap();
+        let on = decide_with(&q1, &q2, &DecideOptions::default()).unwrap();
+        let off = decide_with(&q1, &q2, &refuter_off()).unwrap();
         if !on.is_unknown() && !off.is_unknown() {
             prop_assert_eq!(
                 on.is_contained(),

@@ -4,7 +4,7 @@
 //! appears ≥ 4 times under shuffled variable names and atom orders.
 
 use bqc_bench::engine_workload;
-use bqc_core::{decide_containment_with, DecideOptions};
+use bqc_core::decide_containment;
 use bqc_engine::{canonicalize_pair, Engine, EngineOptions, Provenance};
 
 fn engine() -> Engine {
@@ -23,10 +23,9 @@ fn cached_and_fresh_answers_agree_on_every_pair() {
     let second_pass = engine.decide_batch(&workload);
     for (i, (q1, q2)) in workload.iter().enumerate() {
         let pair = canonicalize_pair(q1, q2);
-        let fresh =
-            decide_containment_with(&pair.q1.query, &pair.q2.query, &DecideOptions::default())
-                .expect("workload heads match")
-                .summary();
+        let fresh = decide_containment(&pair.q1.query, &pair.q2.query)
+            .expect("workload heads match")
+            .summary();
         let batch_answer = first_pass[i].answer.as_ref().expect("workload decides");
         let warm_answer = second_pass[i].answer.as_ref().expect("workload decides");
         assert_eq!(
@@ -53,7 +52,7 @@ fn engine_verdicts_agree_with_direct_decides_on_original_spellings() {
     let workload = engine_workload(4, 7);
     let results = engine().decide_batch(&workload);
     for ((q1, q2), result) in workload.iter().zip(&results) {
-        let direct = decide_containment_with(q1, q2, &DecideOptions::default())
+        let direct = decide_containment(q1, q2)
             .expect("workload heads match")
             .summary();
         let engine_answer = result.answer.as_ref().expect("workload decides");

@@ -204,20 +204,14 @@ impl ShannonSeparator {
     /// An empty result certifies `h ∈ Γ_n` — this is the exactness invariant
     /// of the separation loop.  The scan is `O(n²·2^n)` exact arithmetic and
     /// never materializes the constraint list.
-    pub fn most_violated(&self, h: &[Rational], limit: usize) -> Vec<ElementalId> {
-        self.most_violated_budgeted(h, limit, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`ShannonSeparator::most_violated`] under a decision [`Budget`]: the
-    /// wall clock is checked between variable pairs, and an exhausted budget
-    /// aborts the scan with `Err`.
     ///
-    /// The distinction between `Err` and `Ok(vec![])` is load-bearing: an
-    /// empty *completed* scan certifies `h ∈ Γ_n`, while an aborted scan
-    /// certifies nothing — a caller must never treat exhaustion as "no
-    /// violated rows".
-    pub fn most_violated_budgeted(
+    /// The scan runs under a decision [`Budget`]: the wall clock is checked
+    /// between variable pairs, and an exhausted budget aborts the scan with
+    /// `Err`.  The distinction between `Err` and `Ok(vec![])` is
+    /// load-bearing: an empty *completed* scan certifies `h ∈ Γ_n`, while an
+    /// aborted scan certifies nothing — a caller must never treat exhaustion
+    /// as "no violated rows".
+    pub fn most_violated(
         &self,
         h: &[Rational],
         limit: usize,
@@ -366,7 +360,10 @@ mod tests {
             int(2),
             int(2),
         ];
-        assert!(separator.most_violated(&parity, 16).is_empty());
+        assert!(separator
+            .most_violated(&parity, 16, &Budget::unlimited())
+            .unwrap()
+            .is_empty());
         // A supermodular bump violates submodularity at the empty context.
         let bump = vec![
             int(0),
@@ -378,7 +375,9 @@ mod tests {
             int(2),
             int(3),
         ];
-        let violated = separator.most_violated(&bump, 16);
+        let violated = separator
+            .most_violated(&bump, 16, &Budget::unlimited())
+            .unwrap();
         assert!(!violated.is_empty());
         for id in &violated {
             assert!(id.evaluate_on(&bump, 3).is_negative(), "{}", id.label());
@@ -405,8 +404,12 @@ mod tests {
         let h: Vec<Rational> = all_masks(4)
             .map(|mask| int((mask.count_ones() * mask.count_ones()) as i64))
             .collect();
-        let all = separator.most_violated(&h, usize::MAX);
-        let capped = separator.most_violated(&h, 3);
+        let all = separator
+            .most_violated(&h, usize::MAX, &Budget::unlimited())
+            .unwrap();
+        let capped = separator
+            .most_violated(&h, 3, &Budget::unlimited())
+            .unwrap();
         assert_eq!(capped.len(), 3);
         assert_eq!(&all[..3], &capped[..]);
         // Exactness: every violated elemental id is in the uncapped answer.

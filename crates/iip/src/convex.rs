@@ -192,9 +192,18 @@ pub fn certificate_or_refutation(
 mod tests {
     use super::*;
     use crate::inequality::LinearInequality;
-    use crate::prover::check_max_inequality;
+    use crate::prover::GammaProver;
     use bqc_arith::int;
     use bqc_entropy::EntropyExpr;
+
+    /// Shannon-cone validity on a fresh prover, no budget.
+    fn shannon_valid(inequality: &MaxInequality) -> bool {
+        GammaProver::new()
+            .check_max_inequality(inequality, &Budget::unlimited())
+            .unwrap()
+            .is_valid()
+    }
+    use bqc_obs::Budget;
 
     fn vars(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -235,7 +244,7 @@ mod tests {
             combined = combined.add(&d.scale(l));
         }
         let combined_ineq = LinearInequality::new(vars(&["X", "Y"]), combined);
-        assert!(crate::prover::check_linear_inequality(&combined_ineq).is_valid());
+        assert!(shannon_valid(&combined_ineq.to_max()));
     }
 
     #[test]
@@ -258,7 +267,7 @@ mod tests {
                 make(&["X1", "X3"], "X1", "X3"),
             ],
         );
-        assert!(check_max_inequality(&max).is_valid());
+        assert!(shannon_valid(&max));
         let cert = find_convex_certificate(&max).expect("certificate must exist");
         let total: Rational = cert.lambdas.iter().sum();
         assert_eq!(total, int(1));
@@ -267,10 +276,9 @@ mod tests {
         for (l, d) in cert.lambdas.iter().zip(&max.disjuncts) {
             combined = combined.add(&d.scale(l));
         }
-        assert!(
-            crate::prover::check_linear_inequality(&LinearInequality::new(universe, combined))
-                .is_valid()
-        );
+        assert!(shannon_valid(
+            &LinearInequality::new(universe, combined).to_max()
+        ));
     }
 
     #[test]
@@ -278,7 +286,7 @@ mod tests {
         let d1 = expr(&[(1, &["X"]), (-1, &["X", "Y"])]);
         let d2 = expr(&[(1, &["Y"]), (-1, &["X", "Y"])]);
         let max = MaxInequality::new(vars(&["X", "Y"]), vec![d1, d2]);
-        assert!(!check_max_inequality(&max).is_valid());
+        assert!(!shannon_valid(&max));
         assert!(find_convex_certificate(&max).is_none());
     }
 
@@ -371,7 +379,7 @@ mod tests {
             ConstraintOp::Le,
             -Rational::one(),
         );
-        assert!(!lp.is_feasible());
+        assert!(!lp.is_feasible(&Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -392,7 +400,7 @@ mod tests {
         for (i, a) in candidates.iter().enumerate() {
             for b in candidates.iter().skip(i) {
                 let max = MaxInequality::new(universe.clone(), vec![a.clone(), b.clone()]);
-                let valid = check_max_inequality(&max).is_valid();
+                let valid = shannon_valid(&max);
                 let has_cert = find_convex_certificate(&max).is_some();
                 assert_eq!(valid, has_cert, "mismatch for disjuncts {a} and {b}");
             }

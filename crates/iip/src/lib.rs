@@ -12,10 +12,10 @@
 //! the polymatroid cone `Γ_n`, i.e. Shannon-provability.  This crate provides:
 //!
 //! * [`LinearInequality`] / [`MaxInequality`] — the inequality syntax;
-//! * [`check_linear_inequality`] / [`check_max_inequality`] — exact LP-based
-//!   validity over `Γ_n` (in the style of Yeung's ITIP, extended to maxima),
+//! * [`GammaProver`] — exact LP-based validity over `Γ_n` (in the style of
+//!   Yeung's ITIP, extended to maxima, with lazy separation and warm starts),
 //!   returning a violating polymatroid when the inequality is not
-//!   Shannon-provable;
+//!   Shannon-provable; every probe runs under a `bqc_obs::Budget`;
 //! * [`uniformize`] — Lemma 5.3, the Uniform-Max-IIP normal form consumed by
 //!   the reduction to query containment;
 //! * [`find_convex_certificate`] — Theorem 6.1 over `Γ_n`: a valid
@@ -25,7 +25,8 @@
 //! ```
 //! use bqc_arith::int;
 //! use bqc_entropy::EntropyExpr;
-//! use bqc_iip::{check_linear_inequality, LinearInequality};
+//! use bqc_iip::{GammaProver, LinearInequality};
+//! use bqc_obs::Budget;
 //!
 //! // Submodularity h(X) + h(Y) >= h(XY) is a Shannon inequality…
 //! let mut e = EntropyExpr::zero();
@@ -33,7 +34,9 @@
 //! e.add_term(int(1), ["Y"]);
 //! e.add_term(int(-1), ["X", "Y"]);
 //! let ineq = LinearInequality::new(vec!["X".into(), "Y".into()], e);
-//! assert!(check_linear_inequality(&ineq).is_valid());
+//! let mut prover = GammaProver::new();
+//! let verdict = prover.check_linear_inequality(&ineq, &Budget::unlimited());
+//! assert!(verdict.unwrap().is_valid());
 //! ```
 
 pub mod convex;
@@ -43,9 +46,5 @@ pub mod uniform;
 
 pub use convex::{certificate_or_refutation, find_convex_certificate, ConvexCertificate};
 pub use inequality::{LinearInequality, MaxInequality};
-pub use prover::{
-    check_linear_inequality, check_linear_inequality_eager, check_max_inequality,
-    check_max_inequality_eager, check_max_inequality_eager_budgeted, minimize_over_gamma,
-    GammaProver, GammaValidity,
-};
+pub use prover::{check_max_inequality_eager, minimize_over_gamma, GammaProver, GammaValidity};
 pub use uniform::{uniformize, UniformExpression, UniformMaxIip, UniformityError};

@@ -47,8 +47,8 @@
 //! so the loop terminates; validity is only ever certified by relaxation
 //! infeasibility, and a counterexample is only ever returned once the
 //! separator finds no violated elemental inequality — the verdicts are
-//! exactly those of the eager cone (retained as
-//! [`check_max_inequality_eager`] and used as the property-test oracle).
+//! exactly those of the eager cone ([`check_max_inequality_eager`], the
+//! property-test oracle and the escalation target of deep probes).
 
 use crate::inequality::{LinearInequality, MaxInequality};
 use bqc_arith::Rational;
@@ -241,9 +241,8 @@ struct WarmShape {
 /// relaxation terminated at — a warm start can land on a different (equally
 /// valid) vertex than a cold start would.  Callers that need the returned
 /// counterexample to be a pure function of the inequality (e.g. to feed
-/// deterministic caches) should use the free functions
-/// [`check_max_inequality`] / [`check_linear_inequality`], which remain as
-/// stateless one-shot entry points.
+/// deterministic caches) should probe with a fresh prover
+/// (`GammaProver::new()`), which carries no history.
 #[derive(Debug, Default)]
 pub struct GammaProver {
     skeletons: SkeletonCache,
@@ -302,7 +301,7 @@ impl GammaProver {
         let shape = (variables.len(), inequality.disjuncts.len());
         // `?` on exhaustion happens before any warm-state insertion: an
         // aborted solve must leave the prover exactly as it found it.
-        let (solution, basis) = lp.solve_from_budgeted(self.warm_eager.get(&shape), budget)?;
+        let (solution, basis) = lp.solve_from(self.warm_eager.get(&shape), budget)?;
         if let Some(basis) = basis {
             self.warm_eager.insert(shape, basis);
         }
@@ -320,21 +319,16 @@ impl GammaProver {
     /// Decides whether `0 ≤ max_ℓ E_ℓ(h)` holds for every polymatroid over
     /// the inequality's universe, using the lazy separation loop and reusing
     /// the cached active rows and basis when the shape matches.
-    pub fn check_max_inequality(&mut self, inequality: &MaxInequality) -> GammaValidity {
-        self.check_max_inequality_budgeted(inequality, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`GammaProver::check_max_inequality`] under a decision [`Budget`]:
-    /// pivots are charged inside the LP solves, each separation round charges
-    /// the round cap, and the separator scan checks the deadline.
     ///
-    /// `Err` means the budget ran out before the probe finished.  On that
-    /// path the prover's warm-start caches are **left untouched** — no
-    /// active-row set or basis derived from the aborted probe is remembered,
-    /// so later probes (budgeted or not) answer exactly as if the aborted
-    /// probe had never run.
-    pub fn check_max_inequality_budgeted(
+    /// The probe runs under a decision [`Budget`] (pass
+    /// [`Budget::unlimited`] for an unbounded one): pivots are charged inside
+    /// the LP solves, each separation round charges the round cap, and the
+    /// separator scan checks the deadline.  `Err` means the budget ran out
+    /// before the probe finished.  On that path the prover's warm-start
+    /// caches are **left untouched** — no active-row set or basis derived
+    /// from the aborted probe is remembered, so later probes (budgeted or
+    /// not) answer exactly as if the aborted probe had never run.
+    pub fn check_max_inequality(
         &mut self,
         inequality: &MaxInequality,
         budget: &Budget,
@@ -389,7 +383,7 @@ impl GammaProver {
             .warm
             .get(&shape)
             .and_then(|cached| cached.basis.clone());
-        let mut solution = inc.solve_from_budgeted(warm_basis.as_ref(), budget)?;
+        let mut solution = inc.solve_from(warm_basis.as_ref(), budget)?;
         let separator = ShannonSeparator::new(skeleton.clone());
         let batch = separation_batch(n);
         let mut rounds = 0usize;
@@ -404,7 +398,7 @@ impl GammaProver {
                     // objective; treat it like Optimal for uniformity, as
                     // the eager checker did.)
                     let h = mask_values(&solution.values, &columns);
-                    let violated = separator.most_violated_budgeted(&h, batch, budget)?;
+                    let violated = separator.most_violated(&h, batch, budget)?;
                     if violated.is_empty() {
                         // The separator scanned every elemental inequality:
                         // h is a genuine polymatroid violating all disjuncts.
@@ -436,7 +430,7 @@ impl GammaProver {
                         ESCALATIONS.inc();
                         bqc_obs::instant("escalation");
                         ROUNDS_PER_PROBE.observe(rounds as u64);
-                        let verdict = check_max_inequality_eager_budgeted(inequality, budget)?;
+                        let verdict = check_max_inequality_eager(inequality, budget)?;
                         // The Farkas harvest is a warm-start optimization
                         // whose certificate LP is not budget-instrumented;
                         // under a limited budget it is skipped rather than
@@ -475,7 +469,7 @@ impl GammaProver {
                         );
                         active.push(*id);
                     }
-                    solution = inc.solve_budgeted(budget)?;
+                    solution = inc.solve(budget)?;
                 }
             }
         };
@@ -491,53 +485,26 @@ impl GammaProver {
     }
 
     /// Decides whether a linear information inequality is a Shannon
-    /// inequality, reusing cached separation state when the shape matches.
-    pub fn check_linear_inequality(&mut self, inequality: &LinearInequality) -> GammaValidity {
-        self.check_max_inequality(&inequality.to_max())
-    }
-
-    /// [`GammaProver::check_linear_inequality`] under a decision [`Budget`];
-    /// see [`GammaProver::check_max_inequality_budgeted`].
-    pub fn check_linear_inequality_budgeted(
+    /// inequality, reusing cached separation state when the shape matches;
+    /// see [`GammaProver::check_max_inequality`] for the budget contract.
+    pub fn check_linear_inequality(
         &mut self,
         inequality: &LinearInequality,
         budget: &Budget,
     ) -> Result<GammaValidity, Exhausted> {
-        self.check_max_inequality_budgeted(&inequality.to_max(), budget)
+        self.check_max_inequality(&inequality.to_max(), budget)
     }
 }
 
-/// Decides whether `0 ≤ max_ℓ E_ℓ(h)` holds for every polymatroid over the
-/// inequality's universe.
-///
-/// One-shot form of [`GammaProver::check_max_inequality`] (lazy separation
-/// with no carried-over state, so the result — counterexample included — is
-/// a pure function of the inequality); callers probing many inequalities
-/// should hold a [`GammaProver`] to reuse separation state.
-pub fn check_max_inequality(inequality: &MaxInequality) -> GammaValidity {
-    GammaProver::new().check_max_inequality(inequality)
-}
-
-/// Decides whether a linear information inequality is a Shannon inequality.
-pub fn check_linear_inequality(inequality: &LinearInequality) -> GammaValidity {
-    check_max_inequality(&inequality.to_max())
-}
-
 /// Decides `0 ≤ max_ℓ E_ℓ(h)` over `Γ_n` with the **eager** cone: every
-/// elemental inequality is materialized into one LP up front.
+/// elemental inequality is materialized into one LP up front, and pivots are
+/// charged to `budget` inside that single full-cone solve.
 ///
-/// This is the seed implementation, retained as the independent oracle for
-/// the lazy separation loop (property tests assert verdict equality) and as
-/// the baseline of the `lp/gamma_validity` regression benchmarks.  Use
-/// [`check_max_inequality`] in production code.
-pub fn check_max_inequality_eager(inequality: &MaxInequality) -> GammaValidity {
-    check_max_inequality_eager_budgeted(inequality, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`check_max_inequality_eager`] under a decision [`Budget`] (pivots charged
-/// inside the single full-cone solve).
-pub fn check_max_inequality_eager_budgeted(
+/// This is the seed implementation.  It is the independent oracle for the
+/// lazy separation loop (property tests assert verdict equality) and the
+/// finishing solve of deep probes that escalate out of the loop; callers
+/// probing many inequalities should hold a [`GammaProver`] instead.
+pub fn check_max_inequality_eager(
     inequality: &MaxInequality,
     budget: &Budget,
 ) -> Result<GammaValidity, Exhausted> {
@@ -548,7 +515,7 @@ pub fn check_max_inequality_eager_budgeted(
         // E_ℓ(h) ≤ −1.
         lp.add_constraint(coeffs, ConstraintOp::Le, -Rational::one());
     }
-    let (solution, _) = lp.solve_from_budgeted(None, budget)?;
+    let (solution, _) = lp.solve_from(None, budget)?;
     Ok(match solution.status {
         LpStatus::Infeasible => GammaValidity::ValidShannon,
         LpStatus::Optimal | LpStatus::Unbounded => {
@@ -558,12 +525,6 @@ pub fn check_max_inequality_eager_budgeted(
             }
         }
     })
-}
-
-/// Eager-cone form of [`check_linear_inequality`]; see
-/// [`check_max_inequality_eager`].
-pub fn check_linear_inequality_eager(inequality: &LinearInequality) -> GammaValidity {
-    check_max_inequality_eager(&inequality.to_max())
 }
 
 /// Computes the exact minimum of `E(h)` over the polymatroids with the
@@ -594,6 +555,17 @@ mod tests {
     use bqc_arith::int;
     use bqc_entropy::varset;
 
+    /// A one-shot lazy check on a fresh prover, no budget.
+    fn check(inequality: &LinearInequality) -> GammaValidity {
+        check_max(&inequality.to_max())
+    }
+
+    fn check_max(inequality: &MaxInequality) -> GammaValidity {
+        GammaProver::new()
+            .check_max_inequality(inequality, &Budget::unlimited())
+            .unwrap()
+    }
+
     fn vars(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
     }
@@ -613,11 +585,11 @@ mod tests {
             vars(&["X", "Y"]),
             expr(&[(1, &["X"]), (1, &["Y"]), (-1, &["X", "Y"])]),
         );
-        assert!(check_linear_inequality(&ineq).is_valid());
+        assert!(check(&ineq).is_valid());
         // Monotonicity: h(XY) - h(X) >= 0.
         let ineq =
             LinearInequality::new(vars(&["X", "Y"]), expr(&[(1, &["X", "Y"]), (-1, &["X"])]));
-        assert!(check_linear_inequality(&ineq).is_valid());
+        assert!(check(&ineq).is_valid());
         // Conditional submodularity on three variables:
         // h(XZ) + h(YZ) - h(XYZ) - h(Z) >= 0.
         let ineq = LinearInequality::new(
@@ -629,14 +601,14 @@ mod tests {
                 (-1, &["Z"]),
             ]),
         );
-        assert!(check_linear_inequality(&ineq).is_valid());
+        assert!(check(&ineq).is_valid());
     }
 
     #[test]
     fn invalid_inequalities_produce_polymatroid_counterexamples() {
         // h(X) - h(Y) >= 0 is not valid.
         let ineq = LinearInequality::new(vars(&["X", "Y"]), expr(&[(1, &["X"]), (-1, &["Y"])]));
-        match check_linear_inequality(&ineq) {
+        match check(&ineq) {
             GammaValidity::NotShannonProvable { counterexample } => {
                 assert!(bqc_entropy::is_polymatroid(&counterexample));
                 assert!(ineq.evaluate(&counterexample) <= -int(1));
@@ -648,7 +620,7 @@ mod tests {
             vars(&["X", "Y"]),
             expr(&[(1, &["X", "Y"]), (-1, &["X"]), (-1, &["Y"])]),
         );
-        assert!(!check_linear_inequality(&ineq).is_valid());
+        assert!(!check(&ineq).is_valid());
     }
 
     #[test]
@@ -664,7 +636,7 @@ mod tests {
                 (-1, &["X2", "X3"]),
             ]),
         );
-        assert!(check_linear_inequality(&ineq).is_valid());
+        assert!(check(&ineq).is_valid());
     }
 
     #[test]
@@ -685,7 +657,7 @@ mod tests {
             make(&["X1", "X3"], "X1", "X3"),
         ];
         let max = MaxInequality::new(universe, disjuncts);
-        assert!(check_max_inequality(&max).is_valid());
+        assert!(check_max(&max).is_valid());
     }
 
     #[test]
@@ -696,7 +668,7 @@ mod tests {
         let d1 = expr(&[(1, &["X"]), (-1, &["X", "Y"])]);
         let d2 = expr(&[(1, &["Y"]), (-1, &["X", "Y"])]);
         let max = MaxInequality::new(universe, vec![d1, d2]);
-        match check_max_inequality(&max) {
+        match check_max(&max) {
             GammaValidity::NotShannonProvable { counterexample } => {
                 assert!(max.evaluate(&counterexample).is_negative());
             }
@@ -710,15 +682,9 @@ mod tests {
         let universe = vars(&["X", "Y"]);
         let d1 = expr(&[(1, &["X"]), (-1, &["Y"])]);
         let d2 = expr(&[(1, &["Y"]), (-1, &["X"])]);
-        assert!(
-            !check_linear_inequality(&LinearInequality::new(universe.clone(), d1.clone()))
-                .is_valid()
-        );
-        assert!(
-            !check_linear_inequality(&LinearInequality::new(universe.clone(), d2.clone()))
-                .is_valid()
-        );
-        assert!(check_max_inequality(&MaxInequality::new(universe, vec![d1, d2])).is_valid());
+        assert!(!check(&LinearInequality::new(universe.clone(), d1.clone())).is_valid());
+        assert!(!check(&LinearInequality::new(universe.clone(), d2.clone())).is_valid());
+        assert!(check_max(&MaxInequality::new(universe, vec![d1, d2])).is_valid());
     }
 
     #[test]
@@ -728,7 +694,7 @@ mod tests {
         // is valid for entropic functions but NOT for all polymatroids, so the
         // Γ_n-checker must report a counterexample.
         let ineq = zhang_yeung();
-        match check_linear_inequality(&ineq) {
+        match check(&ineq) {
             GammaValidity::NotShannonProvable { counterexample } => {
                 assert!(bqc_entropy::is_polymatroid(&counterexample));
                 assert!(ineq.evaluate(&counterexample).is_negative());
@@ -793,8 +759,10 @@ mod tests {
         let mut prover = GammaProver::new();
         for e in sequence {
             let ineq = LinearInequality::new(universe.clone(), e);
-            let stateless = check_linear_inequality(&ineq);
-            let stateful = prover.check_linear_inequality(&ineq);
+            let stateless = check(&ineq);
+            let stateful = prover
+                .check_linear_inequality(&ineq, &Budget::unlimited())
+                .unwrap();
             assert_eq!(stateful.is_valid(), stateless.is_valid());
             if let GammaValidity::NotShannonProvable { counterexample } = &stateful {
                 assert!(bqc_entropy::is_polymatroid(counterexample));
@@ -821,8 +789,8 @@ mod tests {
         ];
         for e in cases {
             let ineq = LinearInequality::new(universe.clone(), e);
-            let lazy = check_linear_inequality(&ineq);
-            let eager = check_linear_inequality_eager(&ineq);
+            let lazy = check(&ineq);
+            let eager = check_max_inequality_eager(&ineq.to_max(), &Budget::unlimited()).unwrap();
             assert_eq!(lazy.is_valid(), eager.is_valid(), "{ineq:?}");
             for result in [&lazy, &eager] {
                 if let GammaValidity::NotShannonProvable { counterexample } = result {
@@ -844,8 +812,14 @@ mod tests {
             vars(&["V", "W", "X", "Y", "Z"]),
             expr(&[(1, &["X"]), (1, &["Y"]), (-1, &["X", "Y"])]),
         );
-        assert!(a.check_linear_inequality(&ineq).is_valid());
-        assert!(b.check_linear_inequality(&ineq).is_valid());
+        assert!(a
+            .check_linear_inequality(&ineq, &Budget::unlimited())
+            .unwrap()
+            .is_valid());
+        assert!(b
+            .check_linear_inequality(&ineq, &Budget::unlimited())
+            .unwrap()
+            .is_valid());
         // One universe size probed => exactly one skeleton, shared by both.
         assert_eq!(skeletons.len(), 1);
         assert_eq!(a.skeletons().len(), 1);
@@ -854,7 +828,10 @@ mod tests {
             vars(&["X", "Y"]),
             expr(&[(1, &["X"]), (1, &["Y"]), (-1, &["X", "Y"])]),
         );
-        assert!(a.check_linear_inequality(&small).is_valid());
+        assert!(a
+            .check_linear_inequality(&small, &Budget::unlimited())
+            .unwrap()
+            .is_valid());
         assert_eq!(skeletons.len(), 1);
     }
 
@@ -875,15 +852,18 @@ mod tests {
             ..BudgetSpec::UNLIMITED
         };
         let err = prover
-            .check_linear_inequality_budgeted(&ineq, &spec.start())
+            .check_linear_inequality(&ineq, &spec.start())
             .expect_err("zero pivots cannot refute a Γ_5 probe");
         assert_eq!(err.resource, BudgetResource::Pivots);
         // No warm state was absorbed from the aborted probe...
         assert_eq!(prover.cached_bases(), 0);
         // ...and the verdict afterwards matches a stateless check.
         assert_eq!(
-            prover.check_linear_inequality(&ineq).is_valid(),
-            check_linear_inequality(&ineq).is_valid()
+            prover
+                .check_linear_inequality(&ineq, &Budget::unlimited())
+                .unwrap()
+                .is_valid(),
+            check(&ineq).is_valid()
         );
 
         // A tiny separation-round cap aborts mid-loop on an invalid probe
@@ -898,15 +878,12 @@ mod tests {
             max_pivots: Some(10_000),
             ..BudgetSpec::UNLIMITED
         };
-        match fresh.check_linear_inequality_budgeted(&deep, &spec.start()) {
+        match fresh.check_linear_inequality(&deep, &spec.start()) {
             // Either the round cap or the pivot cap fires first; both are
             // acceptable as long as nothing partial was kept on error.
             Err(_) => assert_eq!(fresh.cached_bases(), 0),
             Ok(verdict) => {
-                assert_eq!(
-                    verdict.is_valid(),
-                    check_linear_inequality(&deep).is_valid()
-                )
+                assert_eq!(verdict.is_valid(), check(&deep).is_valid())
             }
         }
     }

@@ -278,8 +278,9 @@ pub fn uniformize(inequality: &MaxInequality, distinguished: &str) -> UniformMax
 mod tests {
     use super::*;
     use crate::inequality::LinearInequality;
-    use crate::prover::check_max_inequality;
+    use crate::prover::GammaProver;
     use bqc_arith::{int, ratio};
+    use bqc_obs::Budget;
 
     fn vars(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -301,8 +302,14 @@ mod tests {
             .validate()
             .expect("uniformization must produce a uniform inequality");
         let transformed = uniform.to_max_inequality();
-        let a = check_max_inequality(original).is_valid();
-        let b = check_max_inequality(&transformed).is_valid();
+        let a = GammaProver::new()
+            .check_max_inequality(original, &Budget::unlimited())
+            .unwrap()
+            .is_valid();
+        let b = GammaProver::new()
+            .check_max_inequality(&transformed, &Budget::unlimited())
+            .unwrap()
+            .is_valid();
         assert_eq!(a, b, "uniformization changed validity for {original}");
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Two independently built deciders must agree on Shannon-provability for
 //! every inequality: the production prover solves a growing relaxation with
-//! separation ([`bqc_iip::check_max_inequality`]), the retained seed
-//! implementation materializes all `n + C(n,2)·2^{n−2}` elemental rows up
-//! front ([`bqc_iip::check_max_inequality_eager`]).  Verdicts must match
+//! separation ([`bqc_iip::GammaProver`]), the seed implementation
+//! materializes all `n + C(n,2)·2^{n−2}` elemental rows up front
+//! ([`bqc_iip::check_max_inequality_eager`]).  Verdicts must match
 //! exactly; counterexamples may be different vertices of the violating
 //! region, so each is checked *semantically* instead — it must be a genuine
 //! polymatroid ([`bqc_entropy::is_polymatroid`]) on which every disjunct
@@ -13,10 +13,22 @@
 use bqc_arith::{int, Rational};
 use bqc_entropy::{is_polymatroid, EntropyExpr, SetFunction};
 use bqc_iip::{
-    check_linear_inequality, check_linear_inequality_eager, check_max_inequality,
     check_max_inequality_eager, GammaProver, GammaValidity, LinearInequality, MaxInequality,
 };
+use bqc_obs::Budget;
 use proptest::prelude::*;
+
+/// The lazy separation loop on a fresh (history-free) prover.
+fn lazy(max: &MaxInequality) -> GammaValidity {
+    GammaProver::new()
+        .check_max_inequality(max, &Budget::unlimited())
+        .expect("unlimited budget")
+}
+
+/// The eager full-cone checker.
+fn eager(max: &MaxInequality) -> GammaValidity {
+    check_max_inequality_eager(max, &Budget::unlimited()).expect("unlimited budget")
+}
 
 fn universe(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("X{i}")).collect()
@@ -53,8 +65,8 @@ fn assert_counterexample(max: &MaxInequality, h: &SetFunction) {
 
 /// The two checkers on one max-inequality, cross-validated.
 fn assert_equivalent(max: &MaxInequality) {
-    let lazy = check_max_inequality(max);
-    let eager = check_max_inequality_eager(max);
+    let lazy = lazy(max);
+    let eager = eager(max);
     assert_eq!(
         lazy.is_valid(),
         eager.is_valid(),
@@ -113,9 +125,10 @@ proptest! {
         let mut prover = GammaProver::new();
         for terms in &sequence {
             let ineq = LinearInequality::new(universe(n), expr_from_masks(n, terms));
-            let warm = prover.check_linear_inequality(&ineq);
-            let eager = check_linear_inequality_eager(&ineq);
-            prop_assert_eq!(warm.is_valid(), eager.is_valid());
+            let warm = prover
+                .check_linear_inequality(&ineq, &Budget::unlimited())
+                .unwrap();
+            prop_assert_eq!(warm.is_valid(), eager(&ineq.to_max()).is_valid());
             if let GammaValidity::NotShannonProvable { counterexample } = &warm {
                 assert_counterexample(&ineq.to_max(), counterexample);
             }
@@ -157,10 +170,9 @@ fn zhang_yeung_still_yields_a_counterexample_under_separation() {
     mi(&mut e, -2, &[2], &[3], &[]);
     let ineq = LinearInequality::new(universe, e);
 
-    let lazy = check_linear_inequality(&ineq);
-    let eager = check_linear_inequality_eager(&ineq);
+    let lazy = lazy(&ineq.to_max());
     assert!(!lazy.is_valid(), "Zhang–Yeung is not Shannon-provable");
-    assert!(!eager.is_valid());
+    assert!(!eager(&ineq.to_max()).is_valid());
     let h = lazy.counterexample().expect("violating polymatroid");
     assert!(is_polymatroid(h));
     assert!(ineq.evaluate(h) <= -int(1));
@@ -184,9 +196,11 @@ fn curated_suite_agrees_with_warm_and_cold_provers() {
     let mut prover = GammaProver::new();
     for (n, terms) in &cases {
         let ineq = LinearInequality::new(universe(*n), expr_from_masks(*n, terms));
-        let eager = check_linear_inequality_eager(&ineq);
+        let eager = eager(&ineq.to_max());
         for _ in 0..3 {
-            let warm = prover.check_linear_inequality(&ineq);
+            let warm = prover
+                .check_linear_inequality(&ineq, &Budget::unlimited())
+                .unwrap();
             assert_eq!(warm.is_valid(), eager.is_valid());
         }
     }

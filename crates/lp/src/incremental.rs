@@ -25,7 +25,7 @@
 //! an answer.
 
 use crate::problem::{ConstraintOp, LpBasis, LpProblem, LpSolution, LpStatus, Sense, VarId};
-use crate::revised::{solve_sparse_full, solve_sparse_resume_full, SimplexOutcome, SparseSolve};
+use crate::revised::{solve_sparse, solve_sparse_resume, SimplexOutcome, SparseSolve};
 use crate::scalar::Scalar;
 use crate::sparse::SparseMatrix;
 use bqc_arith::Rational;
@@ -54,19 +54,20 @@ enum BasisSlot {
 /// ```
 /// use bqc_arith::int;
 /// use bqc_lp::{ConstraintOp, LpProblem, LpStatus, Sense, VarBound};
+/// use bqc_obs::Budget;
 ///
 /// let mut lp = LpProblem::new(Sense::Minimize);
 /// let x = lp.add_variable("x", VarBound::NonNegative);
 /// lp.set_objective(vec![(x, int(1))]);
 /// lp.add_constraint(vec![(x, int(1))], ConstraintOp::Le, int(10));
 /// let mut inc = lp.to_incremental();
-/// assert_eq!(inc.solve().value(x), &int(0));
+/// assert_eq!(inc.solve(&Budget::unlimited()).unwrap().value(x), &int(0));
 /// // Appending x >= 3 re-enters from the previous basis (bounded phase 1).
 /// inc.add_constraint_small(vec![(x, 1)], ConstraintOp::Ge, 3);
-/// assert_eq!(inc.solve().value(x), &int(3));
+/// assert_eq!(inc.solve(&Budget::unlimited()).unwrap().value(x), &int(3));
 /// // Appending x <= 1 now makes the system infeasible.
 /// inc.add_constraint_small(vec![(x, 1)], ConstraintOp::Le, 1);
-/// assert_eq!(inc.solve().status, LpStatus::Infeasible);
+/// assert_eq!(inc.solve(&Budget::unlimited()).unwrap().status, LpStatus::Infeasible);
 /// ```
 #[derive(Clone, Debug)]
 pub struct IncrementalSolver {
@@ -212,34 +213,21 @@ impl IncrementalSolver {
         );
     }
 
-    /// Solves the current program, re-entering from the stored (extended)
-    /// basis when one is available.
-    pub fn solve(&mut self) -> LpSolution {
-        self.solve_from(None)
+    /// Solves the current program under a decision [`Budget`], re-entering
+    /// from the stored (extended) basis when one is available.  `Err` means
+    /// the budget ran out mid-solve; the solver's stored basis and primal
+    /// point are **left untouched** (nothing partial is absorbed), so a later
+    /// solve picks up exactly where the last *completed* solve left off.
+    pub fn solve(&mut self, budget: &Budget) -> Result<LpSolution, Exhausted> {
+        self.solve_from(None, budget)
     }
 
-    /// [`IncrementalSolver::solve`] under a decision [`Budget`].  `Err`
-    /// means the budget ran out mid-solve; the solver's stored basis and
-    /// primal point are **left untouched** (nothing partial is absorbed), so
-    /// a later solve — budgeted or not — picks up exactly where the last
-    /// *completed* solve left off.
-    pub fn solve_budgeted(&mut self, budget: &Budget) -> Result<LpSolution, Exhausted> {
-        self.solve_from_budgeted(None, budget)
-    }
-
-    /// Solves the current program, optionally seeding the *first* solve with
-    /// a basis cached from another same-shaped program (the cross-probe
+    /// [`IncrementalSolver::solve`], optionally seeding the *first* solve
+    /// with a basis cached from another same-shaped program (the cross-probe
     /// warm-start of [`LpProblem::solve_from`]).  The solver's own stored
     /// basis, when present, takes precedence; an unusable basis of either
     /// kind falls back to a cold solve and never affects the answer.
-    pub fn solve_from(&mut self, warm: Option<&LpBasis>) -> LpSolution {
-        self.solve_from_budgeted(warm, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`IncrementalSolver::solve_from`] under a decision [`Budget`]; see
-    /// [`IncrementalSolver::solve_budgeted`] for the exhaustion contract.
-    pub fn solve_from_budgeted(
+    pub fn solve_from(
         &mut self,
         warm: Option<&LpBasis>,
         budget: &Budget,
@@ -265,13 +253,11 @@ impl IncrementalSolver {
             })
         };
         let resumed = match resume_cols {
-            Some(cols) => solve_sparse_resume_full(
-                &self.a, &self.b, &self.c, &cols, false, budget,
-            )?
-            .or_else(|| {
-                RESUME_FALLBACKS.inc();
-                None
-            }),
+            Some(cols) => solve_sparse_resume(&self.a, &self.b, &self.c, &cols, false, budget)?
+                .or_else(|| {
+                    RESUME_FALLBACKS.inc();
+                    None
+                }),
             None => None,
         };
         let result = match resumed {
@@ -308,7 +294,7 @@ impl IncrementalSolver {
     /// a copy when needed.
     fn cold_solve(&self, budget: &Budget) -> Result<SparseSolve, Exhausted> {
         if self.b.iter().all(|v| !v.is_negative()) {
-            return solve_sparse_full(&self.a, &self.b, &self.c, None, false, budget);
+            return solve_sparse(&self.a, &self.b, &self.c, None, false, budget);
         }
         let negate: Vec<bool> = self.b.iter().map(Scalar::is_negative).collect();
         let mut a = SparseMatrix::new(self.a.num_rows());
@@ -332,7 +318,7 @@ impl IncrementalSolver {
             .collect();
         // Row re-signing changes neither the solution set nor which column
         // sets form a basis, so the outcome carries over verbatim.
-        solve_sparse_full(&a, &b, &self.c, None, false, budget)
+        solve_sparse(&a, &b, &self.c, None, false, budget)
     }
 
     /// Stores the solver state from `result` and maps it back to the
@@ -407,6 +393,11 @@ mod tests {
     use crate::problem::VarBound;
     use bqc_arith::{int, ratio};
 
+    /// An unbudgeted solve.
+    fn solve(inc: &mut IncrementalSolver) -> LpSolution {
+        inc.solve(&Budget::unlimited()).unwrap()
+    }
+
     #[test]
     fn matches_from_scratch_solves_across_row_appends() {
         // maximize 3x + 5y under a growing constraint set; after every append
@@ -418,7 +409,7 @@ mod tests {
         lp.add_constraint(vec![(x, int(1))], ConstraintOp::Le, int(4));
 
         let mut inc = lp.to_incremental();
-        assert_eq!(inc.solve().status, LpStatus::Unbounded);
+        assert_eq!(solve(&mut inc).status, LpStatus::Unbounded);
 
         type Addition = (Vec<(VarId, i64)>, ConstraintOp, i64);
         let additions: Vec<Addition> = vec![
@@ -430,13 +421,13 @@ mod tests {
         for (i, (coeffs, op, rhs)) in additions.iter().enumerate() {
             inc.add_constraint_small(coeffs.clone(), *op, *rhs);
             lp.add_constraint_small(coeffs.clone(), *op, *rhs);
-            let warm = inc.solve();
+            let warm = solve(&mut inc);
             let cold = lp.solve();
             assert_eq!(warm.status, cold.status, "after append {i}");
             assert_eq!(warm.objective, cold.objective, "after append {i}");
             assert_eq!(warm.values, cold.values, "after append {i}");
         }
-        assert_eq!(inc.solve().objective, Some(int(36)));
+        assert_eq!(solve(&mut inc).objective, Some(int(36)));
     }
 
     #[test]
@@ -446,13 +437,13 @@ mod tests {
         let y = lp.add_variable("y", VarBound::NonNegative);
         lp.set_objective(vec![(x, int(1)), (y, int(1))]);
         let mut inc = lp.to_incremental();
-        assert_eq!(inc.solve().objective, Some(int(0)));
+        assert_eq!(solve(&mut inc).objective, Some(int(0)));
         // The optimum (0, 0) violates each appended lower bound in turn.
         inc.add_constraint_small(vec![(x, 1), (y, 2)], ConstraintOp::Ge, 4);
-        let sol = inc.solve();
+        let sol = solve(&mut inc);
         assert_eq!(sol.objective, Some(int(2)));
         inc.add_constraint_small(vec![(x, 2), (y, 1)], ConstraintOp::Ge, 4);
-        let sol = inc.solve();
+        let sol = solve(&mut inc);
         assert_eq!(sol.objective, Some(ratio(8, 3)));
         assert_eq!(sol.values, vec![ratio(4, 3), ratio(4, 3)]);
     }
@@ -463,11 +454,11 @@ mod tests {
         let x = lp.add_variable("x", VarBound::NonNegative);
         lp.add_constraint(vec![(x, int(1))], ConstraintOp::Le, int(1));
         let mut inc = lp.to_incremental();
-        assert_eq!(inc.solve().status, LpStatus::Optimal);
+        assert_eq!(solve(&mut inc).status, LpStatus::Optimal);
         inc.add_constraint_small(vec![(x, 1)], ConstraintOp::Ge, 2);
-        assert_eq!(inc.solve().status, LpStatus::Infeasible);
+        assert_eq!(solve(&mut inc).status, LpStatus::Infeasible);
         inc.add_constraint_small(vec![(x, 1)], ConstraintOp::Ge, 0);
-        assert_eq!(inc.solve().status, LpStatus::Infeasible);
+        assert_eq!(solve(&mut inc).status, LpStatus::Infeasible);
     }
 
     #[test]
@@ -477,13 +468,13 @@ mod tests {
         lp.set_objective(vec![(x, int(1))]);
         lp.add_constraint(vec![(x, int(1))], ConstraintOp::Ge, int(-5));
         let mut inc = lp.to_incremental();
-        assert_eq!(inc.solve().values, vec![int(-5)]);
+        assert_eq!(solve(&mut inc).values, vec![int(-5)]);
         // Tighten from below with a negative-rhs row (violated: -5 < -2).
         inc.add_constraint_small(vec![(x, 1)], ConstraintOp::Ge, -2);
-        assert_eq!(inc.solve().values, vec![int(-2)]);
+        assert_eq!(solve(&mut inc).values, vec![int(-2)]);
         // And an equality append.
         inc.add_constraint_small(vec![(x, 1)], ConstraintOp::Eq, -1);
-        assert_eq!(inc.solve().values, vec![int(-1)]);
+        assert_eq!(solve(&mut inc).values, vec![int(-1)]);
     }
 
     #[test]
@@ -495,7 +486,7 @@ mod tests {
         inc.add_constraint_small(vec![(x, 1)], ConstraintOp::Le, 7);
         // A negative-rhs append with no basis exercises the re-signed cold path.
         inc.add_constraint_small(vec![(x, -1)], ConstraintOp::Le, -2);
-        let sol = inc.solve();
+        let sol = solve(&mut inc);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values, vec![int(7)]);
         assert_eq!(inc.num_constraints(), 2);
@@ -510,7 +501,7 @@ mod tests {
         let y = lp.add_variable("y", VarBound::NonNegative);
         lp.set_objective(vec![(x, int(1)), (y, int(1))]);
         let mut inc = lp.to_incremental();
-        assert_eq!(inc.solve().objective, Some(int(0)));
+        assert_eq!(solve(&mut inc).objective, Some(int(0)));
         // A violated append forces a bounded phase-1 that needs pivots.
         inc.add_constraint_small(vec![(x, 1), (y, 2)], ConstraintOp::Ge, 4);
         let spec = BudgetSpec {
@@ -518,12 +509,12 @@ mod tests {
             ..BudgetSpec::UNLIMITED
         };
         let err = inc
-            .solve_budgeted(&spec.start())
+            .solve(&spec.start())
             .expect_err("a zero-pivot budget cannot clear the violation");
         assert_eq!(err.resource, BudgetResource::Pivots);
         // Nothing partial was absorbed: the next unbudgeted solve answers
         // exactly what a from-scratch solve would.
-        let sol = inc.solve();
+        let sol = solve(&mut inc);
         assert_eq!(sol.objective, Some(int(2)));
     }
 
@@ -539,10 +530,12 @@ mod tests {
             lp
         };
         let mut first = build(2).to_incremental();
-        first.solve();
+        solve(&mut first);
         let basis = first.basis().expect("clean optimal basis");
         let mut second = build(5).to_incremental();
-        let warm = second.solve_from(Some(&basis));
+        let warm = second
+            .solve_from(Some(&basis), &Budget::unlimited())
+            .unwrap();
         let cold = build(5).solve();
         assert_eq!(warm.status, LpStatus::Optimal);
         assert_eq!(warm.objective, cold.objective);

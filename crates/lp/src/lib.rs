@@ -17,9 +17,11 @@
 //! every input.  Pivot arithmetic runs in an `i64`-pair small-rational
 //! representation ([`crate::scalar`]) and promotes to arbitrary precision
 //! only on overflow.  Sequences of same-shaped programs can reuse the
-//! previous optimal basis through [`LpProblem::solve_from`].  The original
-//! dense tableau solver is retained in [`oracle`] as an independent
-//! correctness oracle for property tests and regression benchmarks.
+//! previous optimal basis through [`LpProblem::solve_from`].  Every
+//! budget-aware entry point takes a `bqc_obs::Budget` (pass
+//! `Budget::unlimited()` for an unbounded solve).  The original dense tableau
+//! solver lives on only under `tests/`, as the independent oracle the
+//! revised simplex is checked against.
 //!
 //! ## Example
 //!
@@ -42,7 +44,6 @@
 //! ```
 
 mod incremental;
-pub mod oracle;
 mod problem;
 mod revised;
 pub mod scalar;

@@ -11,7 +11,7 @@
 //! Callers that solve sequences of same-shaped programs can carry the
 //! optimal basis from one solve to the next with [`LpProblem::solve_from`].
 
-use crate::revised::{solve_sparse_full, SimplexOutcome};
+use crate::revised::{solve_sparse, SimplexOutcome};
 use crate::scalar::Scalar;
 use crate::sparse::SparseMatrix;
 use bqc_arith::Rational;
@@ -347,11 +347,14 @@ impl LpProblem {
 
     /// Solves the problem with the exact sparse revised simplex method.
     pub fn solve(&self) -> LpSolution {
-        self.solve_from(None).0
+        self.solve_full(None, false, &Budget::unlimited())
+            .expect("unlimited budget cannot exhaust")
+            .0
     }
 
-    /// Solves the problem, optionally **warm-starting** from the basis of a
-    /// previous solve, and returns the optimal basis for reuse.
+    /// Solves the problem under a decision [`Budget`], optionally
+    /// **warm-starting** from the basis of a previous solve, and returns the
+    /// optimal basis for reuse.
     ///
     /// The returned [`LpBasis`] (present when the solve ended
     /// [`LpStatus::Optimal`] on a clean basis) can be fed back into
@@ -363,8 +366,16 @@ impl LpProblem {
     /// and most of their constraints — e.g. the repeated Shannon-cone probes
     /// of `bqc-iip`, where only the handful of disjunct rows change between
     /// solves.
-    pub fn solve_from(&self, warm: Option<&LpBasis>) -> (LpSolution, Option<LpBasis>) {
-        self.solve_from_full(warm, false)
+    ///
+    /// Each simplex pivot charges the budget, and an exhausted budget aborts
+    /// the solve with `Err` before any result is produced — a budget-aborted
+    /// solve never returns a partial solution or basis.
+    pub fn solve_from(
+        &self,
+        warm: Option<&LpBasis>,
+        budget: &Budget,
+    ) -> Result<(LpSolution, Option<LpBasis>), Exhausted> {
+        self.solve_full(warm, false, budget)
     }
 
     /// Solves the problem and additionally extracts the optimal **dual
@@ -372,31 +383,12 @@ impl LpProblem {
     /// basis inverse — skipped by the plain [`LpProblem::solve`], which most
     /// feasibility-probing callers are better served by).
     pub fn solve_with_duals(&self) -> LpSolution {
-        self.solve_from_full(None, true).0
-    }
-
-    /// [`LpProblem::solve_from`] under a decision [`Budget`]: each simplex
-    /// pivot charges the budget, and an exhausted budget aborts the solve
-    /// with `Err` before any result is produced — a budget-aborted solve
-    /// never returns a partial solution or basis.
-    pub fn solve_from_budgeted(
-        &self,
-        warm: Option<&LpBasis>,
-        budget: &Budget,
-    ) -> Result<(LpSolution, Option<LpBasis>), Exhausted> {
-        self.solve_from_budgeted_full(warm, false, budget)
-    }
-
-    fn solve_from_full(
-        &self,
-        warm: Option<&LpBasis>,
-        want_duals: bool,
-    ) -> (LpSolution, Option<LpBasis>) {
-        self.solve_from_budgeted_full(warm, want_duals, &Budget::unlimited())
+        self.solve_full(None, true, &Budget::unlimited())
             .expect("unlimited budget cannot exhaust")
+            .0
     }
 
-    fn solve_from_budgeted_full(
+    fn solve_full(
         &self,
         warm: Option<&LpBasis>,
         want_duals: bool,
@@ -408,7 +400,7 @@ impl LpProblem {
         let warm_cols = warm.and_then(|basis| {
             (basis.rows == m && basis.cols_total == n).then_some(basis.cols.as_slice())
         });
-        let result = solve_sparse_full(&sf.a, &sf.b, &sf.c, warm_cols, want_duals, budget)?;
+        let result = solve_sparse(&sf.a, &sf.b, &sf.c, warm_cols, want_duals, budget)?;
         let basis = result.basis.map(|cols| LpBasis {
             cols,
             rows: m,
@@ -469,23 +461,17 @@ impl LpProblem {
         Ok((solution, basis))
     }
 
-    /// Convenience: checks whether the constraint system admits any solution
-    /// (ignores the objective).
+    /// Checks whether the constraint system admits any solution (ignores
+    /// the objective) under a decision [`Budget`]; `Err` means the budget ran
+    /// out before feasibility was decided.
     ///
     /// This builds the standard form with a zero cost vector directly — it
     /// does **not** clone the problem, so probing feasibility of a large
     /// Shannon-cone program costs exactly one phase-1 solve.
-    pub fn is_feasible(&self) -> bool {
-        self.is_feasible_budgeted(&Budget::unlimited())
-            .expect("unlimited budget cannot exhaust")
-    }
-
-    /// [`LpProblem::is_feasible`] under a decision [`Budget`]; `Err` means
-    /// the budget ran out before feasibility was decided.
-    pub fn is_feasible_budgeted(&self, budget: &Budget) -> Result<bool, Exhausted> {
+    pub fn is_feasible(&self, budget: &Budget) -> Result<bool, Exhausted> {
         let sf = self.standard_form(false);
         Ok(matches!(
-            solve_sparse_full(&sf.a, &sf.b, &sf.c, None, false, budget)?.outcome,
+            solve_sparse(&sf.a, &sf.b, &sf.c, None, false, budget)?.outcome,
             SimplexOutcome::Optimal { .. }
         ))
     }
@@ -633,9 +619,9 @@ mod tests {
         let x = lp.add_variable("x", VarBound::NonNegative);
         lp.add_constraint(vec![(x, int(1))], ConstraintOp::Ge, int(2));
         lp.add_constraint(vec![(x, int(1))], ConstraintOp::Le, int(5));
-        assert!(lp.is_feasible());
+        assert!(lp.is_feasible(&Budget::unlimited()).unwrap());
         lp.add_constraint(vec![(x, int(1))], ConstraintOp::Le, int(1));
-        assert!(!lp.is_feasible());
+        assert!(!lp.is_feasible(&Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -672,12 +658,14 @@ mod tests {
             lp.add_constraint(vec![(x, int(1))], ConstraintOp::Le, int(rhs + 3));
             lp
         };
-        let (first, basis) = build(2).solve_from(None);
+        let (first, basis) = build(2).solve_from(None, &Budget::unlimited()).unwrap();
         assert_eq!(first.status, LpStatus::Optimal);
         let basis = basis.expect("optimal solve yields a basis");
         assert_eq!(basis.num_rows(), 2);
-        let (warm, _) = build(5).solve_from(Some(&basis));
-        let (cold, _) = build(5).solve_from(None);
+        let (warm, _) = build(5)
+            .solve_from(Some(&basis), &Budget::unlimited())
+            .unwrap();
+        let (cold, _) = build(5).solve_from(None, &Budget::unlimited()).unwrap();
         assert_eq!(warm.status, LpStatus::Optimal);
         assert_eq!(warm.objective, cold.objective);
         assert_eq!(warm.values, cold.values);
@@ -689,7 +677,7 @@ mod tests {
         let x = small.add_variable("x", VarBound::NonNegative);
         small.set_objective(vec![(x, int(1))]);
         small.add_constraint(vec![(x, int(1))], ConstraintOp::Ge, int(1));
-        let (_, basis) = small.solve_from(None);
+        let (_, basis) = small.solve_from(None, &Budget::unlimited()).unwrap();
         let basis = basis.expect("optimal basis");
 
         let mut other = LpProblem::new(Sense::Maximize);
@@ -699,7 +687,9 @@ mod tests {
         other.add_constraint(vec![(a, int(1))], ConstraintOp::Le, int(4));
         other.add_constraint(vec![(b, int(2))], ConstraintOp::Le, int(12));
         other.add_constraint(vec![(a, int(3)), (b, int(2))], ConstraintOp::Le, int(18));
-        let (sol, _) = other.solve_from(Some(&basis));
+        let (sol, _) = other
+            .solve_from(Some(&basis), &Budget::unlimited())
+            .unwrap();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.objective, Some(int(36)));
     }
@@ -719,7 +709,7 @@ mod tests {
             ..BudgetSpec::UNLIMITED
         };
         let err = lp
-            .solve_from_budgeted(None, &spec.start())
+            .solve_from(None, &spec.start())
             .expect_err("one pivot cannot finish this program");
         assert_eq!(err.resource, BudgetResource::Pivots);
         // The same program still solves fine without a budget, and under a
@@ -731,7 +721,7 @@ mod tests {
             ..BudgetSpec::UNLIMITED
         };
         let (budgeted, _) = lp
-            .solve_from_budgeted(None, &generous.start())
+            .solve_from(None, &generous.start())
             .expect("generous budget suffices");
         assert_eq!(budgeted.objective, unbudgeted.objective);
         assert_eq!(budgeted.values, unbudgeted.values);

@@ -573,7 +573,7 @@ impl<'a> Solver<'a> {
 /// `Err` means the decision `budget` ran out mid-solve; the partial basis is
 /// discarded (never returned), so a budget-aborted solve can't poison a
 /// warm-start cache with a half-optimized basis.
-pub(crate) fn solve_sparse_resume_full(
+pub(crate) fn solve_sparse_resume(
     a: &SparseMatrix,
     b: &[Scalar],
     c: &[Scalar],
@@ -661,25 +661,15 @@ pub(crate) fn solve_sparse_resume_full(
     Ok(Some(solver.extract(want_duals)))
 }
 
-/// Solves `minimize c·x  s.t.  A x = b, x ≥ 0` with `A` sparse and `b ≥ 0`.
+/// Solves `minimize c·x  s.t.  A x = b, x ≥ 0` with `A` sparse and `b ≥ 0`,
+/// optionally extracting the optimal duals, under a decision budget.
 ///
 /// `warm` optionally supplies a starting basis (one column per row, all
 /// structural); an unusable basis — wrong length, repeated or out-of-range
 /// columns, singular, or infeasible for this `b` — silently falls back to
 /// the crash cold start, so warm starting never affects correctness.
-pub(crate) fn solve_sparse(
-    a: &SparseMatrix,
-    b: &[Scalar],
-    c: &[Scalar],
-    warm: Option<&[usize]>,
-) -> SparseSolve {
-    solve_sparse_full(a, b, c, warm, false, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`solve_sparse`] with optional dual extraction and a decision budget.
 /// `Err` means the budget ran out mid-solve; no partial result escapes.
-pub(crate) fn solve_sparse_full(
+pub(crate) fn solve_sparse(
     a: &SparseMatrix,
     b: &[Scalar],
     c: &[Scalar],
@@ -847,7 +837,9 @@ pub fn solve_standard_form(a: &[Vec<Rational>], b: &[Rational], c: &[Rational]) 
         .map(|(v, flip)| Scalar::from_rational(if *flip { -v } else { v.clone() }))
         .collect();
     let c: Vec<Scalar> = c.iter().map(|v| Scalar::from_rational(v.clone())).collect();
-    solve_sparse(&sparse, &b, &c, None).outcome
+    solve_sparse(&sparse, &b, &c, None, false, &Budget::unlimited())
+        .expect("unlimited budget cannot exhaust")
+        .outcome
 }
 
 #[cfg(test)]
@@ -970,13 +962,13 @@ mod tests {
         a.push_col(vec![(0, s(1)), (1, s(-1))]);
         let b = vec![s(2), s(0)];
         let c = vec![s(1), Scalar::ZERO];
-        let cold = solve_sparse(&a, &b, &c, None);
+        let cold = solve_sparse(&a, &b, &c, None, false, &Budget::unlimited()).unwrap();
         let basis = cold.basis.expect("clean optimal basis");
         // Re-solve with a perturbed rhs from the old basis: feasible, so the
         // warm path must produce the same optimum as a cold solve.
         let b2 = vec![s(4), s(2)];
-        let warm = solve_sparse(&a, &b2, &c, Some(&basis));
-        let coldagain = solve_sparse(&a, &b2, &c, None);
+        let warm = solve_sparse(&a, &b2, &c, Some(&basis), false, &Budget::unlimited()).unwrap();
+        let coldagain = solve_sparse(&a, &b2, &c, None, false, &Budget::unlimited()).unwrap();
         assert_eq!(warm.outcome, coldagain.outcome);
         match warm.outcome {
             SimplexOutcome::Optimal { solution, .. } => {
@@ -986,7 +978,8 @@ mod tests {
         }
         // Garbage warm bases are ignored, not trusted.
         let garbage = vec![0usize, 0];
-        let ignored = solve_sparse(&a, &b2, &c, Some(&garbage));
+        let ignored =
+            solve_sparse(&a, &b2, &c, Some(&garbage), false, &Budget::unlimited()).unwrap();
         assert_eq!(ignored.outcome, coldagain.outcome);
     }
 }

@@ -1,20 +1,16 @@
-//! The retained dense two-phase simplex, kept as a correctness oracle.
+//! A dense two-phase simplex, kept as a test-only correctness oracle.
 //!
-//! This is the original production solver of this crate: a dense tableau over
-//! exact rationals with Bland's rule throughout.  It has been replaced on
-//! every production path by the sparse revised simplex
-//! ([`crate::solve_standard_form`]), but it stays in the tree as an
-//! independent implementation that the property tests and the
-//! `bench_lp` regression benchmarks compare against — two solvers that agree
-//! on the exact objective and feasibility status of randomized programs give
-//! much stronger evidence than either alone.
-//!
-//! Do not call [`solve_standard_form_dense`] from production code: it
-//! allocates a full `(m+1) × (n+m+1)` tableau of `BigRational`s and pays
-//! `O(m·n)` exact-arithmetic work per pivot.
+//! This was the original solver of `bqc-lp`: a dense tableau over exact
+//! rationals with Bland's rule throughout.  The sparse revised simplex
+//! (`bqc_lp::solve_standard_form`) replaced it everywhere; it lives on here
+//! as the one independent implementation the revised simplex is checked
+//! against — two solvers that agree on the exact objective and feasibility
+//! status of randomized programs give much stronger evidence than either
+//! alone.  It allocates a full `(m+1) × (n+m+1)` tableau of rationals and
+//! pays `O(m·n)` exact-arithmetic work per pivot.
 
-use crate::revised::SimplexOutcome;
 use bqc_arith::Rational;
+use bqc_lp::SimplexOutcome;
 
 /// A dense simplex tableau.  Row `m` (the last row) is the objective row; the
 /// last column holds the right-hand side.

@@ -1,4 +1,4 @@
-//! The revised simplex against the retained dense oracle.
+//! The revised simplex against the test-only dense oracle (`dense`).
 //!
 //! Two independent exact solvers must agree on the *classification*
 //! (optimal / infeasible / unbounded) and, when optimal, on the *objective
@@ -7,11 +7,14 @@
 //! examples (Beale, Kuhn) that defeat naive Dantzig pricing, plus
 //! property-tested random sparse programs in both standard and modelled form.
 
+mod dense;
+
 use bqc_arith::{int, ratio, Rational};
-use bqc_lp::oracle::solve_standard_form_dense;
 use bqc_lp::{
     solve_standard_form, ConstraintOp, LpProblem, LpStatus, Sense, SimplexOutcome, VarBound,
 };
+use bqc_obs::Budget;
+use dense::solve_standard_form_dense;
 use proptest::prelude::*;
 
 /// Compares the two solvers on one standard-form program.
@@ -213,12 +216,12 @@ proptest! {
             };
             lp.add_constraint(coeffs, op, int(rhs[(i * 5 + 1) % rhs.len()].rem_euclid(9) - 4));
         }
-        let (cold, basis) = lp.solve_from(None);
+        let (cold, basis) = lp.solve_from(None, &Budget::unlimited()).unwrap();
         if cold.status == LpStatus::Optimal {
             prop_assert!(cold.objective.is_some());
         }
         if let Some(basis) = basis {
-            let (warm, _) = lp.solve_from(Some(&basis));
+            let (warm, _) = lp.solve_from(Some(&basis), &Budget::unlimited()).unwrap();
             prop_assert_eq!(warm.status, cold.status);
             prop_assert_eq!(warm.objective, cold.objective);
             prop_assert_eq!(warm.values, cold.values);

@@ -23,44 +23,33 @@ use std::collections::{BTreeMap, BTreeSet};
 /// An assignment of query variables to domain values.
 pub type Assignment = BTreeMap<Var, Value>;
 
-/// Enumerates all homomorphisms from `query` to `data`.
-pub fn enumerate_homomorphisms(query: &ConjunctiveQuery, data: &Structure) -> Vec<Assignment> {
-    enumerate_homomorphisms_budgeted(query, data, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`enumerate_homomorphisms`] under a cooperative work budget: the search
-/// charges one hom-step per candidate value tried and aborts with
-/// `Err(Exhausted)` when the budget runs out.  An aborted enumeration
-/// certifies nothing — in particular it must not be confused with an empty
-/// (completed) one.
-pub fn enumerate_homomorphisms_budgeted(
+/// Enumerates all homomorphisms from `query` to `data` under a cooperative
+/// work budget: the search charges one hom-step per candidate value tried and
+/// aborts with `Err(Exhausted)` when the budget runs out.  An aborted
+/// enumeration certifies nothing — in particular it must not be confused
+/// with an empty (completed) one.  Pass [`Budget::unlimited`] for an
+/// unbounded search.
+pub fn enumerate_homomorphisms(
     query: &ConjunctiveQuery,
     data: &Structure,
     budget: &Budget,
 ) -> Result<Vec<Assignment>, Exhausted> {
     let mut result = Vec::new();
-    for_each_homomorphism_budgeted(query, data, budget, |assignment| {
+    for_each_homomorphism(query, data, budget, |assignment| {
         result.push(assignment.clone())
     })?;
     Ok(result)
 }
 
-/// Counts the homomorphisms from `query` to `data`.
-pub fn count_homomorphisms(query: &ConjunctiveQuery, data: &Structure) -> u128 {
-    count_homomorphisms_budgeted(query, data, &Budget::unlimited())
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`count_homomorphisms`] under a cooperative work budget; see
-/// [`enumerate_homomorphisms_budgeted`] for the abort semantics.
-pub fn count_homomorphisms_budgeted(
+/// Counts the homomorphisms from `query` to `data` under a cooperative work
+/// budget; see [`enumerate_homomorphisms`] for the abort semantics.
+pub fn count_homomorphisms(
     query: &ConjunctiveQuery,
     data: &Structure,
     budget: &Budget,
 ) -> Result<u128, Exhausted> {
     let mut count: u128 = 0;
-    for_each_homomorphism_budgeted(query, data, budget, |_| count += 1)?;
+    for_each_homomorphism(query, data, budget, |_| count += 1)?;
     Ok(count)
 }
 
@@ -70,28 +59,20 @@ pub fn count_homomorphisms_budgeted(
 /// `COUNT(*) … GROUP BY head`).  Head tuples with count zero are absent.
 pub fn bag_set_answer(query: &ConjunctiveQuery, data: &Structure) -> BTreeMap<Tuple, u128> {
     let mut result: BTreeMap<Tuple, u128> = BTreeMap::new();
-    for_each_homomorphism(query, data, |assignment| {
+    for_each_homomorphism(query, data, &Budget::unlimited(), |assignment| {
         let key: Tuple = query.head().iter().map(|v| assignment[v].clone()).collect();
         *result.entry(key).or_insert(0) += 1;
-    });
+    })
+    .expect("unlimited budget cannot exhaust");
     result
 }
 
-/// Invokes `callback` once per homomorphism from `query` to `data`.
+/// Invokes `callback` once per homomorphism from `query` to `data`, under a
+/// cooperative work budget: one hom-step is charged per candidate value the
+/// backtracking search tries (i.e. per search-tree node), so the abort
+/// latency is bounded by a single atom check.  With an unlimited budget the
+/// charge is one pointer test per node.
 pub fn for_each_homomorphism<F: FnMut(&Assignment)>(
-    query: &ConjunctiveQuery,
-    data: &Structure,
-    callback: F,
-) {
-    for_each_homomorphism_budgeted(query, data, &Budget::unlimited(), callback)
-        .expect("unlimited budget cannot exhaust")
-}
-
-/// [`for_each_homomorphism`] under a cooperative work budget: one hom-step
-/// is charged per candidate value the backtracking search tries (i.e. per
-/// search-tree node), so the abort latency is bounded by a single atom
-/// check.  With an unlimited budget the charge is one pointer test per node.
-pub fn for_each_homomorphism_budgeted<F: FnMut(&Assignment)>(
     query: &ConjunctiveQuery,
     data: &Structure,
     budget: &Budget,
@@ -326,7 +307,8 @@ pub fn structure_to_query(
 pub fn count_structure_homomorphisms(from: &Structure, to: &Structure) -> u128 {
     let (query, isolated) = structure_to_query(from, "hom_src");
     let base = match query {
-        Some(query) => count_homomorphisms(&query, to),
+        Some(query) => count_homomorphisms(&query, to, &Budget::unlimited())
+            .expect("unlimited budget cannot exhaust"),
         None => 1,
     };
     let domain_size = to.active_domain().len() as u128;
@@ -341,6 +323,11 @@ pub fn count_structure_homomorphisms(from: &Structure, to: &Structure) -> u128 {
 mod tests {
     use super::*;
     use crate::query::Atom;
+
+    /// An unbudgeted count.
+    fn count(query: &ConjunctiveQuery, data: &Structure) -> u128 {
+        count_homomorphisms(query, data, &Budget::unlimited()).unwrap()
+    }
 
     fn path_query() -> ConjunctiveQuery {
         // Q() :- R(x,y), R(y,z)
@@ -364,7 +351,7 @@ mod tests {
         // In a directed n-cycle every vertex starts exactly one path of length 2.
         let q = path_query();
         for n in 2..6 {
-            assert_eq!(count_homomorphisms(&q, &cycle_structure(n)), n as u128);
+            assert_eq!(count(&q, &cycle_structure(n)), n as u128);
         }
     }
 
@@ -380,15 +367,15 @@ mod tests {
                 s.add_fact("R", vec![Value::int(a), Value::int(b)]);
             }
         }
-        assert_eq!(count_homomorphisms(&q, &s), (n * n * n) as u128);
+        assert_eq!(count(&q, &s), (n * n * n) as u128);
     }
 
     #[test]
     fn enumerate_matches_count() {
         let q = path_query();
         let s = cycle_structure(5);
-        let homs = enumerate_homomorphisms(&q, &s);
-        assert_eq!(homs.len() as u128, count_homomorphisms(&q, &s));
+        let homs = enumerate_homomorphisms(&q, &s, &Budget::unlimited()).unwrap();
+        assert_eq!(homs.len() as u128, count(&q, &s));
         for h in &homs {
             assert_eq!(h.len(), 3);
             // verify both atoms
@@ -408,7 +395,7 @@ mod tests {
             ..BudgetSpec::UNLIMITED
         }
         .start();
-        let err = count_homomorphisms_budgeted(&q, &s, &tight).unwrap_err();
+        let err = count_homomorphisms(&q, &s, &tight).unwrap_err();
         assert_eq!(err.resource, BudgetResource::HomSteps);
         // A generous budget reproduces the unbudgeted result exactly.
         let generous = BudgetSpec {
@@ -417,8 +404,8 @@ mod tests {
         }
         .start();
         assert_eq!(
-            count_homomorphisms_budgeted(&q, &s, &generous).unwrap(),
-            count_homomorphisms(&q, &s)
+            count_homomorphisms(&q, &s, &generous).unwrap(),
+            count(&q, &s)
         );
         assert!(generous.hom_steps_spent() > 0);
     }
@@ -428,9 +415,9 @@ mod tests {
         // Q() :- R(x,x) counts self-loops.
         let q = ConjunctiveQuery::boolean("L", vec![Atom::new("R", ["x", "x"])]).unwrap();
         let mut s = cycle_structure(4);
-        assert_eq!(count_homomorphisms(&q, &s), 0);
+        assert_eq!(count(&q, &s), 0);
         s.add_fact("R", vec![Value::int(7), Value::int(7)]);
-        assert_eq!(count_homomorphisms(&q, &s), 1);
+        assert_eq!(count(&q, &s), 1);
     }
 
     #[test]
@@ -439,8 +426,10 @@ mod tests {
             ConjunctiveQuery::boolean("Q", vec![Atom::new("R", ["x", "y"]), Atom::new("S", ["y"])])
                 .unwrap();
         let s = cycle_structure(3);
-        assert_eq!(count_homomorphisms(&q, &s), 0);
-        assert!(enumerate_homomorphisms(&q, &s).is_empty());
+        assert_eq!(count(&q, &s), 0);
+        assert!(enumerate_homomorphisms(&q, &s, &Budget::unlimited())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -475,7 +464,7 @@ mod tests {
         .unwrap();
         for n in 2..6 {
             let s = cycle_structure(n);
-            assert!(count_homomorphisms(&triangle, &s) <= count_homomorphisms(&star, &s));
+            assert!(count(&triangle, &s) <= count(&star, &s));
         }
         let mut dense = Structure::empty();
         for a in 0..3i64 {
@@ -485,7 +474,7 @@ mod tests {
                 }
             }
         }
-        assert!(count_homomorphisms(&triangle, &dense) <= count_homomorphisms(&star, &dense));
+        assert!(count(&triangle, &dense) <= count(&star, &dense));
     }
 
     #[test]
@@ -510,15 +499,15 @@ mod tests {
         assert_eq!(query.atoms().len(), 3);
         assert_eq!(query.num_vars(), 3);
         // hom(C3, C3) as query-to-structure = 3 (rotations).
-        assert_eq!(count_homomorphisms(&query, &s), 3);
+        assert_eq!(count(&query, &s), 3);
     }
 
     #[test]
     fn disjoint_copies_square_the_count() {
         let q = path_query();
         let s = cycle_structure(4);
-        let single = count_homomorphisms(&q, &s);
+        let single = count(&q, &s);
         let doubled_query = q.power(2);
-        assert_eq!(count_homomorphisms(&doubled_query, &s), single * single);
+        assert_eq!(count(&doubled_query, &s), single * single);
     }
 }

@@ -29,12 +29,13 @@
 //! ```
 //! use bqc_relational::parser::{parse_query, parse_structure};
 //! use bqc_relational::hom::count_homomorphisms;
+//! use bqc_obs::Budget;
 //!
 //! let triangle = parse_query("Q() :- R(x,y), R(y,z), R(z,x)").unwrap();
 //! let two_star = parse_query("Q() :- R(u,v), R(u,w)").unwrap();
 //! let db = parse_structure("R(1,2). R(2,3). R(3,1).").unwrap();
-//! assert_eq!(count_homomorphisms(&triangle, &db), 3);
-//! assert_eq!(count_homomorphisms(&two_star, &db), 3);
+//! assert_eq!(count_homomorphisms(&triangle, &db, &Budget::unlimited()).unwrap(), 3);
+//! assert_eq!(count_homomorphisms(&two_star, &db, &Budget::unlimited()).unwrap(), 3);
 //! ```
 
 pub mod hom;
@@ -46,9 +47,8 @@ pub mod value;
 pub mod vrelation;
 
 pub use hom::{
-    bag_set_answer, count_homomorphisms, count_homomorphisms_budgeted,
-    count_structure_homomorphisms, enumerate_homomorphisms, enumerate_homomorphisms_budgeted,
-    for_each_homomorphism, for_each_homomorphism_budgeted, structure_to_query, Assignment,
+    bag_set_answer, count_homomorphisms, count_structure_homomorphisms, enumerate_homomorphisms,
+    for_each_homomorphism, structure_to_query, Assignment,
 };
 pub use parser::{parse_query, parse_structure, ParseError};
 pub use query::{Atom, ConjunctiveQuery, QueryError, Var};
@@ -60,6 +60,7 @@ pub use vrelation::VRelation;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bqc_obs::Budget;
 
     #[test]
     fn crate_level_smoke_test() {
@@ -67,7 +68,13 @@ mod tests {
         let q2 = parse_query("Q2() :- R(u,v)").unwrap();
         let db = parse_structure("R(1,2). R(2,1). R(3,3).").unwrap();
         // Q1 counts 2-cycles (including the self loop), Q2 counts edges.
-        assert_eq!(count_homomorphisms(&q1, &db), 3);
-        assert_eq!(count_homomorphisms(&q2, &db), 3);
+        assert_eq!(
+            count_homomorphisms(&q1, &db, &Budget::unlimited()).unwrap(),
+            3
+        );
+        assert_eq!(
+            count_homomorphisms(&q2, &db, &Budget::unlimited()).unwrap(),
+            3
+        );
     }
 }

@@ -369,6 +369,7 @@ pub fn parse_structure(input: &str) -> Result<Structure, ParseError> {
 mod tests {
     use super::*;
     use crate::hom::count_homomorphisms;
+    use bqc_obs::Budget;
 
     #[test]
     fn parse_simple_query() {
@@ -437,7 +438,10 @@ mod tests {
     fn parsed_query_evaluates() {
         let q = parse_query("Q() :- R(x, y), R(y, z)").unwrap();
         let s = parse_structure("R(1,2). R(2,3). R(3,1).").unwrap();
-        assert_eq!(count_homomorphisms(&q, &s), 3);
+        assert_eq!(
+            count_homomorphisms(&q, &s, &Budget::unlimited()).unwrap(),
+            3
+        );
     }
 
     // ---- error paths: malformed atoms ------------------------------------

@@ -85,6 +85,13 @@ fn main() {
     println!();
 
     // ---- Shannon-provability ---------------------------------------------
+    // One prover serves every probe; an unlimited budget never cuts one short.
+    let mut prover = GammaProver::new();
+    let mut shannon = |max: &MaxInequality| {
+        prover
+            .check_max_inequality(max, &Budget::unlimited())
+            .expect("an unlimited budget cannot run out")
+    };
     let mut submodularity = EntropyExpr::zero();
     submodularity.add_term(int(1), ["X"]);
     submodularity.add_term(int(1), ["Y"]);
@@ -92,13 +99,13 @@ fn main() {
     let ineq = LinearInequality::new(vec!["X".into(), "Y".into()], submodularity);
     println!(
         "submodularity h(X)+h(Y) >= h(XY) is Shannon-provable: {}",
-        check_linear_inequality(&ineq).is_valid()
+        shannon(&ineq.to_max()).is_valid()
     );
 
     // The Zhang–Yeung inequality is valid for entropic functions but not
     // Shannon-provable; the prover reports the violating polymatroid.
     let zy = zhang_yeung();
-    match check_linear_inequality(&zy) {
+    match shannon(&zy.to_max()) {
         bqc_iip::GammaValidity::NotShannonProvable { counterexample } => {
             println!(
                 "Zhang–Yeung is NOT Shannon-provable; violating polymatroid has h(ABCD) = {}",
@@ -117,7 +124,7 @@ fn main() {
     let max = MaxInequality::new(vec!["X".into(), "Y".into()], vec![d1, d2]);
     println!(
         "max(h(X)-h(Y), h(Y)-h(X)) >= 0 is valid: {}",
-        check_max_inequality(&max).is_valid()
+        shannon(&max).is_valid()
     );
     let certificate = find_convex_certificate(&max).expect("Theorem 6.1 certificate");
     println!(

@@ -56,8 +56,8 @@ fn main() {
         "R(1,2). R(1,3). R(2,3). R(3,2).",
     ] {
         let db = parse_structure(facts).unwrap();
-        let triangles = count_homomorphisms(&triangle, &db);
-        let stars = count_homomorphisms(&star, &db);
+        let count = |q| count_homomorphisms(q, &db, &Budget::unlimited()).expect("no budget set");
+        let (triangles, stars) = (count(&triangle), count(&star));
         println!("on D = {{ {facts} }}: #triangles = {triangles} <= #stars = {stars}");
         assert!(triangles <= stars);
     }

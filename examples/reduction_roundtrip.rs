@@ -40,7 +40,7 @@ fn part_1_structure_of_example_5_2() {
     println!("original inequality:   {original}");
     println!(
         "Shannon-valid:         {}",
-        check_linear_inequality(&original).is_valid()
+        shannon_valid(&original.to_max())
     );
 
     // Lemma 5.3: uniformize.  Eq. (20) of the paper rewrites Eq. (19) with
@@ -77,6 +77,14 @@ fn part_1_structure_of_example_5_2() {
     // why the semantic check is done on smaller instances below.)
 }
 
+/// Shannon-cone validity of `inequality` on a fresh prover, no budget.
+fn shannon_valid(inequality: &MaxInequality) -> bool {
+    GammaProver::new()
+        .check_max_inequality(inequality, &Budget::unlimited())
+        .expect("an unlimited budget cannot run out")
+        .is_valid()
+}
+
 fn part_2_semantic_roundtrip() {
     println!("== Part 2: semantic round-trip on small instances ==================");
     let universe = vec!["X".to_string()];
@@ -86,7 +94,7 @@ fn part_2_semantic_roundtrip() {
     ];
     for (label, expr) in cases {
         let original = LinearInequality::new(universe.clone(), expr);
-        let original_valid = check_linear_inequality(&original).is_valid();
+        let original_valid = shannon_valid(&original.to_max());
         let uniform = uniformize(&original.to_max(), "U");
         let reduction = max_iip_to_containment(&uniform);
         let hypergraph = Hypergraph::new(reduction.q2.hyperedges());
@@ -95,7 +103,7 @@ fn part_2_semantic_roundtrip() {
             .expect("acyclic query has a join tree");
         let (containment, _) = containment_inequality(&reduction.q1, &reduction.q2, &join_tree)
             .expect("the construction always admits homomorphisms");
-        let roundtrip_valid = check_max_inequality(&containment).is_valid();
+        let roundtrip_valid = shannon_valid(&containment);
         println!(
             "{label}: original valid = {original_valid}, containment inequality valid = {roundtrip_valid}  (Q1 has {} vars, Q2 has {} vars)",
             reduction.q1.num_vars(),

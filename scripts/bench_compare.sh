@@ -9,15 +9,10 @@
 # into the canonical document and `bench_compare compare` enforces the 25%
 # regression threshold plus five machine-independent speedup floors:
 #
-#   * the revised simplex >= 5x the dense oracle on the n=5 Shannon-cone
-#     program;
 #   * the warm lazy-separation prover >= 5x the eager materialized cone on
 #     the n=6 chain validity check;
 #   * the counting refuter >= 5x the LP-only path on the refutable
 #     parallel-blocks workload (m=3, a Γ_6 refutation avoided by counting);
-#   * the staged pipeline (with trace collection) within 10% of the
-#     pre-refactor direct path on the LP-bound k=6 cycle-in-path scenario
-#     (legacy/pipeline >= 0.909, i.e. pipeline <= 1.1x legacy);
 #   * live bqc-obs metric probes within 5% of the same run with the runtime
 #     kill switch off, on the cold-engine stage-mix batch
 #     (disabled/enabled >= 0.952, i.e. enabled <= 1.05x disabled);
@@ -63,10 +58,8 @@ fi
 
 cargo run --release -p bqc-bench --bin bench_compare -- compare "$BASELINE" "$NEW" \
     --threshold 1.25 --normalize \
-    --min-speedup lp/shannon_cone_feasibility/dense/5 lp/shannon_cone_feasibility/revised/5 5 \
     --min-speedup lp/gamma_validity/eager/6 lp/gamma_validity/lazy_warm/6 5 \
     --min-speedup pipeline/refutable/lp_only/3 pipeline/refutable/refuter/3 5 \
-    --min-speedup pipeline/overhead/legacy/6 pipeline/overhead/pipeline/6 0.909 \
     --min-speedup pipeline/obs/disabled/4 pipeline/obs/enabled/4 0.952 \
     --min-speedup pipeline/budget/off/6 pipeline/budget/on/6 0.952 \
     --min-speedup serve/restart/cold/4 serve/restart/restored/4 5

@@ -57,11 +57,11 @@ pub use bqc_serve as serve;
 pub mod prelude {
     pub use bqc_arith::{int, ratio, BigInt, Rational};
     pub use bqc_core::{
-        containment_inequality, decide_containment, decide_containment_in,
-        decide_containment_traced, decide_containment_with, exhaustive_containment_check,
-        max_iip_to_containment, search_product_witness, sufficient_containment_check,
-        verify_witness, witness_from_counterexample, AnswerSummary, ContainmentAnswer,
-        DecideContext, DecideOptions, Decision, DecisionPipeline, DecisionTrace,
+        containment_inequality, decide_containment, decide_containment_traced,
+        exhaustive_containment_check, max_iip_to_containment, search_product_witness,
+        sufficient_containment_check, verify_witness, witness_from_counterexample, AnswerSummary,
+        Budget, ContainmentAnswer, DecideContext, DecideOptions, Decision, DecisionPipeline,
+        DecisionTrace,
     };
     pub use bqc_engine::{canonicalize, canonicalize_pair, Engine, EngineOptions, Provenance};
     pub use bqc_entropy::{
@@ -70,8 +70,7 @@ pub mod prelude {
     };
     pub use bqc_hypergraph::{junction_tree, Graph, Hypergraph, TreeDecomposition};
     pub use bqc_iip::{
-        check_linear_inequality, check_max_inequality, find_convex_certificate, uniformize,
-        GammaProver, LinearInequality, MaxInequality,
+        find_convex_certificate, uniformize, GammaProver, LinearInequality, MaxInequality,
     };
     pub use bqc_lp::{LpBasis, LpProblem, LpStatus};
     pub use bqc_relational::{

@@ -22,6 +22,7 @@ const CORPUS_FILES: &[&str] = &[
     "examples/corpus/boolean_reduction.bqc",
     "examples/corpus/single_bag_fallback.bqc",
     "examples/corpus/near_miss.bqc",
+    "examples/corpus/pipeline_branches.bqc",
 ];
 
 fn load(path: &str) -> Vec<CorpusCase> {
@@ -76,8 +77,10 @@ fn corpus_verdicts_and_witnesses_hold() {
     for path in CORPUS_FILES {
         for case in load(path) {
             let at = format!("{path}:{} ({} ; {})", case.line, case.q1, case.q2);
-            let answer = decide_containment_with(&case.q1, &case.q2, &options)
-                .unwrap_or_else(|e| panic!("{at}: decision error {e}"));
+            let answer =
+                decide_containment_traced(&mut DecideContext::new(), &case.q1, &case.q2, &options)
+                    .unwrap_or_else(|e| panic!("{at}: decision error {e}"))
+                    .answer;
             let summary = answer.summary();
             let ok = match case.expect {
                 ExpectedVerdict::Contained => summary.is_contained(),
@@ -113,8 +116,10 @@ fn corpus_survives_the_differential_oracle() {
     for path in CORPUS_FILES {
         for case in load(path) {
             let at = format!("{path}:{} ({} ; {})", case.line, case.q1, case.q2);
-            let answer = decide_containment_with(&case.q1, &case.q2, &options)
-                .unwrap_or_else(|e| panic!("{at}: decision error {e}"));
+            let answer =
+                decide_containment_traced(&mut DecideContext::new(), &case.q1, &case.q2, &options)
+                    .unwrap_or_else(|e| panic!("{at}: decision error {e}"))
+                    .answer;
             let family = database_family(&case.q1, &case.q2, &config);
             let report = check_summary(&case.q1, &case.q2, answer.summary(), &family);
             assert!(

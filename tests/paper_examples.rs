@@ -9,6 +9,19 @@ use bqc_arith::int;
 use bqc_entropy::varset;
 use std::collections::BTreeSet;
 
+/// An unbudgeted homomorphism count.
+fn count(query: &ConjunctiveQuery, data: &Structure) -> u128 {
+    count_homomorphisms(query, data, &Budget::unlimited()).unwrap()
+}
+
+/// Shannon-cone validity on a fresh prover, no budget.
+fn shannon_valid(inequality: &MaxInequality) -> bool {
+    GammaProver::new()
+        .check_max_inequality(inequality, &Budget::unlimited())
+        .unwrap()
+        .is_valid()
+}
+
 /// E1 — Example 4.3 (Eric Vee): the triangle is contained in the 2-out-star,
 /// and the proof goes through the inequality of Example 3.8.
 #[test]
@@ -39,7 +52,7 @@ fn example_4_3_and_3_8() {
             make(["X1", "X3"], "X1", "X3"),
         ],
     );
-    assert!(check_max_inequality(&inequality).is_valid());
+    assert!(shannon_valid(&inequality));
 
     // And the containment counts hold on concrete databases.
     for facts in [
@@ -48,7 +61,7 @@ fn example_4_3_and_3_8() {
         "R(1,2). R(1,3). R(2,3). R(3,2). R(2,1). R(3,1).",
     ] {
         let db = parse_structure(facts).unwrap();
-        assert!(count_homomorphisms(&triangle, &db) <= count_homomorphisms(&star, &db));
+        assert!(count(&triangle, &db) <= count(&star, &db));
     }
 }
 
@@ -80,7 +93,9 @@ fn example_3_5() {
             ("x2'".to_string(), ["v".to_string()].into_iter().collect()),
         ];
         let witness_relation = VRelation::normal_relation(&product, &psi);
-        let witness = verify_witness(&q1, &q2, &witness_relation).expect("paper witness verifies");
+        let witness = verify_witness(&q1, &q2, &witness_relation, &Budget::unlimited())
+            .unwrap()
+            .expect("paper witness verifies");
         assert_eq!(witness.hom_q1, (n * n) as u128);
         assert_eq!(witness.hom_q2, n as u128);
     }
@@ -103,12 +118,13 @@ fn example_3_5() {
         other => panic!("expected NotContained, got {other:?}"),
     }
     // With the refuter disabled the Theorem 3.1 LP path decides and attaches
-    // its violating polymatroid, as before the staged pipeline.
+    // its violating polymatroid.
     let lp_only = DecideOptions {
         counting_refuter: false,
         ..DecideOptions::default()
     };
-    match decide_containment_with(&q1, &q2, &lp_only).unwrap() {
+    let decision = decide_containment_traced(&mut DecideContext::new(), &q1, &q2, &lp_only);
+    match decision.unwrap().answer {
         ContainmentAnswer::NotContained {
             witness,
             counterexample,
@@ -132,7 +148,7 @@ fn example_5_2_reduction() {
     expr.add_term(int(-1), ["X2", "X3"]);
     let inequality = LinearInequality::new(vec!["X1".into(), "X2".into(), "X3".into()], expr);
     // Eq. (19) is a Shannon inequality.
-    assert!(check_linear_inequality(&inequality).is_valid());
+    assert!(shannon_valid(&inequality.to_max()));
 
     // Uniformize (Lemma 5.3): q = 3 as in Eq. (20).
     let uniform = bqc_iip::uniformize(&inequality.to_max(), "U");
@@ -240,7 +256,7 @@ fn example_a_2_boolean_reduction() {
         extended.add_fact("U1", vec![value.clone()]);
         extended.add_fact("U2", vec![value.clone()]);
     }
-    assert_eq!(count_homomorphisms(&b1, &extended), total);
+    assert_eq!(count(&b1, &extended), total);
 }
 
 /// E7 — Example E.2: the locality property fails for the (non-normal) parity
@@ -258,9 +274,11 @@ fn example_e_2_locality_failure() {
     assert_eq!(d.num_facts("T"), 4);
     // hom(Q2, D) contains assignments that are in no single row of P: the paper
     // points at (1,1,1).  Concretely |hom| = 8 > |P| = 4.
-    assert_eq!(count_homomorphisms(&q1, &d), 8);
+    assert_eq!(count(&q1, &d), 8);
     assert_eq!(p.len(), 4);
     // (So P is *not* a witness against containment here — consistent with the
     //  queries being identical.)
-    assert!(verify_witness(&q1, &q1, &p).is_none());
+    assert!(verify_witness(&q1, &q1, &p, &Budget::unlimited())
+        .unwrap()
+        .is_none());
 }
