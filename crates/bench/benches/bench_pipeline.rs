@@ -21,6 +21,11 @@
 //!   with resource budgets armed (generous deadline and work caps, so every
 //!   cooperative check runs but none fires) vs unlimited.  The CI floor
 //!   requires `off / on ≥ 0.952`, i.e. armed budget checks cost at most 5%.
+//! * **Normal cone vs Γ_n** (`pipeline/normal_cone/*`) — the Eq. (8)
+//!   inequality of cycle_6 ⊑ path_5 decided by the one normal-cone LP the
+//!   `shannon-lp` stage runs inside the decidable class, against a cold
+//!   `GammaProver` on `Γ_6` (the stage's pre-normal-cone path).  The CI
+//!   floor requires the normal cone ≥ 50x faster; measured ~3700x.
 //! * **Observability overhead** (`pipeline/obs/*`) — the same cold-engine
 //!   stage-mix batch with the `bqc-obs` metric probes live vs killed by the
 //!   runtime switch (`bqc_obs::set_enabled`).  The CI floor requires
@@ -28,8 +33,13 @@
 //!   the experiment E18 overhead policy.
 
 use bqc_bench::{cycle_query, parallel_blocks_query, path_query, spread_query, stage_mix_workload};
-use bqc_core::{decide_containment_traced, ContainmentAnswer, DecideContext, DecideOptions};
+use bqc_core::{
+    containment_inequality, decide_containment_traced, Budget, ContainmentAnswer, DecideContext,
+    DecideOptions,
+};
 use bqc_engine::{Engine, EngineOptions};
+use bqc_hypergraph::{junction_tree, Graph};
+use bqc_iip::{check_over_normal_cone, GammaProver};
 use bqc_relational::ConjunctiveQuery;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -137,6 +147,35 @@ fn bench_budget(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_normal_cone(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline/normal_cone");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(3));
+    // cycle_6 ⊑ path_5 is inside the decidable class (a path is acyclic),
+    // so Lemma 3.7(2) makes the two checks agree; both must say valid.
+    let k = 6usize;
+    let cycle = cycle_query(k);
+    let path = path_query(k - 1);
+    let td = junction_tree(&Graph::from_cliques(path.hyperedges())).expect("paths are chordal");
+    let (inequality, _) = containment_inequality(&cycle, &path, &td).expect("homomorphisms exist");
+    let unlimited = Budget::unlimited();
+    group.bench_with_input(BenchmarkId::new("normal_cone", k), &k, |b, _| {
+        b.iter(|| {
+            let verdict = check_over_normal_cone(&inequality, &unlimited).unwrap();
+            assert!(verdict.is_valid());
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("gamma_cold", k), &k, |b, _| {
+        b.iter(|| {
+            let verdict = GammaProver::new()
+                .check_max_inequality(&inequality, &unlimited)
+                .unwrap();
+            assert!(verdict.is_valid());
+        })
+    });
+    group.finish();
+}
+
 fn bench_stage_mix(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline/stage_mix");
     group.sample_size(10);
@@ -190,6 +229,7 @@ criterion_group!(
     bench_refutable,
     bench_overhead,
     bench_budget,
+    bench_normal_cone,
     bench_stage_mix,
     bench_obs
 );

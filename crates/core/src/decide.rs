@@ -3,8 +3,9 @@
 //! Given `Q1` and `Q2`, [`decide_containment`] answers `Q1 ⊑ Q2` by running
 //! the staged pipeline of [`crate::pipeline`] — a cost-ordered cascade of
 //! cheap structural screens (Boolean reduction, syntactic identity,
-//! hom-existence, junction tree, the counting refuter) in front of the one
-//! expensive Shannon-cone LP and, on refutation, witness materialization.
+//! hom-existence, junction tree, the counting refuter) in front of one
+//! Shannon-validity LP — over the normal cone inside the decidable class,
+//! over Γ_n outside it — and, on refutation, witness materialization.
 //! [`decide_containment_traced`] is the one configurable entry point: it
 //! takes a reusable [`DecideContext`] and [`DecideOptions`] and returns the
 //! answer together with the per-stage
@@ -284,9 +285,10 @@ impl Default for DecideOptions {
 
 /// Reusable state for a sequence of containment decisions.
 ///
-/// The decision procedure bottoms out in exact LP feasibility probes over the
+/// Out-of-class decisions bottom out in exact LP feasibility probes over the
 /// Shannon cone, which the [`GammaProver`] answers with a lazy separation
-/// loop; a context carries the prover, whose warm cache (active elemental
+/// loop (in-class ones solve one cold normal-cone LP and never touch it); a
+/// context carries the prover, whose warm cache (active elemental
 /// rows and optimal basis per probe shape) lets consecutive decisions with
 /// same-shaped programs start one separation round from done and skip LP
 /// phase 1 (via the incremental solver in `bqc-lp`).  A context is cheap to
@@ -660,9 +662,10 @@ mod tests {
     #[test]
     fn exhausted_pivot_budget_yields_sound_unknown_with_partial_trace() {
         let mut ctx = DecideContext::new();
-        let triangle = parse_query("Q1() :- R(x1,x2), R(x2,x3), R(x3,x1)").unwrap();
-        let star = parse_query("Q2() :- R(y1,y2), R(y1,y3)").unwrap();
-        // One LP pivot cannot finish the Γ_n probe for Example 4.3.
+        // The 3-edge path is contained in two disjoint edges; one LP pivot
+        // cannot finish its normal-cone LP.
+        let path = parse_query("Q1() :- R(a,b), R(b,c), R(c,d)").unwrap();
+        let edges = parse_query("Q2() :- R(x,y), R(u,v)").unwrap();
         let starved = DecideOptions {
             budget: BudgetSpec {
                 max_pivots: Some(1),
@@ -670,7 +673,7 @@ mod tests {
             },
             ..DecideOptions::default()
         };
-        let decision = decide_containment_traced(&mut ctx, &triangle, &star, &starved).unwrap();
+        let decision = decide_containment_traced(&mut ctx, &path, &edges, &starved).unwrap();
         match decision.answer {
             ContainmentAnswer::Unknown {
                 obstruction:
@@ -697,7 +700,7 @@ mod tests {
         );
         // The same pair without a budget still decides normally — and with a
         // generous budget the verdict is bit-identical to the unbudgeted one.
-        let unbudgeted = decide_containment(&triangle, &star).unwrap();
+        let unbudgeted = decide_containment(&path, &edges).unwrap();
         assert!(unbudgeted.is_contained());
         let generous = DecideOptions {
             budget: BudgetSpec {
@@ -706,7 +709,7 @@ mod tests {
             },
             ..DecideOptions::default()
         };
-        let roomy = decide_with(&triangle, &star, &generous);
+        let roomy = decide_with(&path, &edges, &generous);
         assert_eq!(roomy.summary(), unbudgeted.summary());
     }
 

@@ -14,7 +14,8 @@
 //!   arbitrary `Q2` via Theorem 4.2;
 //! * [`pipeline`] — the staged form of that procedure: a cost-ordered
 //!   [`pipeline::DecisionPipeline`] of [`pipeline::DecisionStage`]s (cheap
-//!   structural screens, the counting refuter, the Shannon-cone LP, witness
+//!   structural screens, the counting refuter, the Shannon-validity LP —
+//!   over the normal cone inside the decidable class — and witness
 //!   materialization), every answer carrying a structured
 //!   [`pipeline::DecisionTrace`];
 //! * [`oracle`] — the differential counting oracle: consensus homomorphism
@@ -23,7 +24,7 @@
 //!   ground truth behind the adversarial corpus and `bqc fuzz`;
 //! * [`witness`] — witnesses of non-containment (Fact 3.2), product and
 //!   normal witnesses (Theorem 3.4), extraction of verified witnesses from
-//!   polymatroid counterexamples (Lemma 3.7 + Lemma 4.8), and a brute-force
+//!   normal counterexamples (Lemma 4.8), and a brute-force
 //!   oracle for small instances;
 //! * [`reductions`] — the Boolean reduction (Lemma A.1), query saturation
 //!   (Fact A.3), the bag-bag → bag-set reduction, and the DOM /

@@ -1,7 +1,7 @@
 //! The staged decision pipeline behind [`decide_containment`](crate::decide_containment).
 //!
 //! The Theorem 3.1 decision procedure is a cascade of cheap structural
-//! checks in front of one expensive Shannon-cone LP.  This module makes
+//! checks in front of one Shannon-validity LP.  This module makes
 //! that cascade explicit: a [`DecisionPipeline`] runs a cost-ordered list of
 //! [`DecisionStage`]s, each of which either **decides** the instance,
 //! **continues** after enriching the shared [`PipelineState`], or is
@@ -22,6 +22,15 @@
 //! | 5 | `counting-refuter` | NotContained | Fact 3.2 |
 //! | 6 | `shannon-lp` | Contained / Unknown | Theorems 3.6 & 4.2 |
 //! | 7 | `witness-materialization` | NotContained | Lemmas 3.7 & 4.8 |
+//!
+//! **The Shannon-validity stage.**  Inside the decidable class Lemma 3.7(2)
+//! makes validity over Γ_n the same as validity over the normal cone, so
+//! `shannon-lp` solves one LP with a row per disjunct and a column per step
+//! function ([`bqc_iip::check_over_normal_cone`]), and its optimum is the
+//! normal counterexample witness materialization amplifies.  Outside the
+//! class it runs the exact Γ_n [`GammaProver`], whose validity still proves
+//! containment (Theorem 4.2) and whose violation answers `Unknown`.  The
+//! trace note names the cone used.
 //!
 //! **Verdicts.**  Stages 1–4, 6 and 7 are the Theorem 3.1 procedure's steps;
 //! the counting refuter (stage 5) is confined to the decidable class, where
@@ -185,9 +194,9 @@ impl DecisionPipeline {
 
     /// Decides `q1 ⊑ q2`, returning the answer and its trace.
     ///
-    /// `gamma` answers the Shannon-cone feasibility probes; pass a fresh
-    /// prover for history-independent answers or a warm one for
-    /// vertex-insensitive (witness-free) serving paths — the policy
+    /// `gamma` answers the Γ_n feasibility probes of out-of-class
+    /// instances; pass a fresh prover for history-independent answers or a
+    /// warm one for vertex-insensitive (witness-free) serving paths — the policy
     /// [`decide_containment_traced`](crate::decide_containment_traced)
     /// implements.
     pub fn run(

@@ -11,16 +11,17 @@
 //! 5. [`CountingRefuter`] — hom-counting on small databases (Fact 3.2),
 //!    confined to the decidable class so pipeline verdicts are exactly the
 //!    Theorem 3.1 procedure's;
-//! 6. [`ShannonLp`] — the exact Γ_n feasibility probe, the expensive stage;
-//! 7. [`WitnessMaterialization`] — Lemma 3.7 + Lemma 4.8 witness extraction
-//!    from the violating polymatroid.
+//! 6. [`ShannonLp`] — Shannon validity of Eq. (8): one LP over the normal
+//!    cone inside the decidable class, the exact Γ_n prover outside it;
+//! 7. [`WitnessMaterialization`] — Lemma 4.8 witness extraction from the
+//!    normal counterexample.
 
 use crate::containment::{containment_inequality_from_homs, query_homomorphisms};
 use crate::decide::{ContainmentAnswer, DecideError, Obstruction};
 use crate::reductions::{boolean_reduction, saturate_pair};
 use crate::witness::{verify_witness, witness_from_counterexample, NonContainmentWitness};
 use bqc_hypergraph::{junction_tree, Graph, TreeDecomposition};
-use bqc_iip::GammaValidity;
+use bqc_iip::{check_over_normal_cone, GammaValidity, MaxInequality, NormalConeValidity};
 use bqc_obs::{Budget, Exhausted};
 use bqc_relational::{ConjunctiveQuery, VRelation, Value};
 
@@ -291,10 +292,15 @@ impl DecisionStage for CountingRefuter {
     }
 }
 
-/// The Shannon-cone LP: checks the Eq. (8) inequality over `Γ_n` with the
-/// exact prover.  Validity decides **Contained** (Theorem 4.2, sound for
-/// every `Q2`); a violating polymatroid decides **Unknown** outside the
-/// decidable class and hands over to witness materialization inside it.
+/// The Shannon-validity check of the Eq. (8) inequality.
+///
+/// Inside the decidable class, Lemma 3.7(2) makes validity over Γ_n the same
+/// as validity over the normal cone, so the stage solves the one k-row LP of
+/// [`check_over_normal_cone`]: infeasibility decides **Contained**, and the
+/// optimal normal counterexample goes to witness materialization.  Outside
+/// the class it runs the exact Γ_n prover: validity decides **Contained**
+/// (Theorem 4.2, sound for every `Q2`) and a violating polymatroid decides
+/// **Unknown**.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShannonLp;
 
@@ -313,48 +319,55 @@ impl DecisionStage for ShannonLp {
                 .with_note("no containment inequality was built".to_string()));
         };
         let disjuncts = inequality.num_disjuncts();
+        let contained = |inequality: MaxInequality, cone: &str| {
+            StageResult::decided(ContainmentAnswer::Contained {
+                inequality: Some(inequality),
+            })
+            .with_note(format!(
+                "Eq. (8) inequality is Shannon-valid ({disjuncts} disjunct(s), {cone})"
+            ))
+        };
+        if state.decidable {
+            return Ok(match check_over_normal_cone(&inequality, &state.budget) {
+                Err(exhausted) => budget_exhausted_result(state, exhausted),
+                Ok(NormalConeValidity::Valid) => contained(inequality, "normal cone"),
+                Ok(NormalConeValidity::Violated { counterexample }) => {
+                    state.counterexample = Some(counterexample);
+                    StageResult::cont()
+                        .with_note("normal counterexample found (Theorem 3.1 refutation)")
+                }
+            });
+        }
         let budget = state.budget.clone();
         match state.gamma.check_max_inequality(&inequality, &budget) {
             Err(exhausted) => Ok(budget_exhausted_result(state, exhausted)),
-            Ok(GammaValidity::ValidShannon) => {
-                Ok(StageResult::decided(ContainmentAnswer::Contained {
-                    inequality: Some(inequality),
-                })
-                .with_note(format!(
-                    "Eq. (8) inequality is Shannon-valid ({disjuncts} disjunct(s))"
-                )))
-            }
+            Ok(GammaValidity::ValidShannon) => Ok(contained(inequality, "Γ_n")),
             Ok(GammaValidity::NotShannonProvable { counterexample }) => {
-                if !state.decidable {
-                    // The standard junction-tree stage always records the
-                    // obstruction; a custom stage list that built the
-                    // inequality without classifying the instance degrades
-                    // to the structural default instead of panicking.
-                    let obstruction = state.obstruction.unwrap_or(if state.single_bag_fallback {
-                        Obstruction::NotChordal
-                    } else {
-                        Obstruction::JunctionTreeNotSimple
-                    });
-                    // The violating polymatroid is returned even though the
-                    // verdict is Unknown: it is the concrete object a caller
-                    // would need to push the instance further by hand.
-                    return Ok(StageResult::decided(ContainmentAnswer::Unknown {
-                        obstruction,
-                        counterexample: Some(counterexample),
-                    })
-                    .with_note("violating polymatroid found; instance undecidable here"));
-                }
-                state.counterexample = Some(counterexample);
-                Ok(StageResult::cont()
-                    .with_note("violating polymatroid found (Theorem 3.1 refutation)"))
+                // The standard junction-tree stage always records the
+                // obstruction; a custom stage list that built the inequality
+                // without classifying the instance degrades to the
+                // structural default instead of panicking.
+                let obstruction = state.obstruction.unwrap_or(if state.single_bag_fallback {
+                    Obstruction::NotChordal
+                } else {
+                    Obstruction::JunctionTreeNotSimple
+                });
+                // The violating polymatroid is returned even though the
+                // verdict is Unknown: it is the concrete object a caller
+                // would need to push the instance further by hand.
+                Ok(StageResult::decided(ContainmentAnswer::Unknown {
+                    obstruction,
+                    counterexample: Some(counterexample),
+                })
+                .with_note("violating polymatroid found; instance undecidable here"))
             }
         }
     }
 }
 
 /// Theorem 3.1's "not contained" branch: materializes a verified witness
-/// database from the violating polymatroid (Lemma 3.7 normalization +
-/// Lemma 4.8 amplification), falling back to the saturated pair (Fact A.3).
+/// database from the normal counterexample (Lemma 4.8 amplification), falling
+/// back to the saturated pair (Fact A.3).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WitnessMaterialization;
 
@@ -370,7 +383,7 @@ impl DecisionStage for WitnessMaterialization {
     fn run(&self, state: &mut PipelineState<'_>) -> Result<StageResult, DecideError> {
         let Some(counterexample) = state.counterexample.take() else {
             return Ok(
-                StageResult::inapplicable().with_note("no violating polymatroid".to_string())
+                StageResult::inapplicable().with_note("no normal counterexample".to_string())
             );
         };
         let (witness, note) = if state.options.extract_witness {
@@ -402,7 +415,7 @@ impl DecisionStage for WitnessMaterialization {
         };
         Ok(StageResult::decided(ContainmentAnswer::NotContained {
             witness,
-            counterexample: Some(counterexample),
+            counterexample: Some(counterexample.to_set_function()),
         })
         .with_note(note))
     }

@@ -5,14 +5,14 @@
 //! for later ones: the Boolean reduction replaces the query pair, the
 //! hom-existence screen stores the homomorphisms, the junction-tree stage
 //! stores the decomposition, the Eq. (8) inequality, and the decidable-class
-//! verdict, and the Shannon-cone LP stores its violating polymatroid for the
-//! witness stage.  All fields are public so that custom
+//! verdict, and the Shannon-validity stage stores its normal counterexample
+//! for the witness stage.  All fields are public so that custom
 //! [`DecisionStage`](crate::pipeline::DecisionStage) implementations can
 //! participate.
 
 use crate::containment::QueryHomomorphism;
 use crate::decide::DecideOptions;
-use bqc_entropy::SetFunction;
+use bqc_entropy::NormalFunction;
 use bqc_hypergraph::TreeDecomposition;
 use bqc_iip::{GammaProver, MaxInequality};
 use bqc_obs::Budget;
@@ -31,7 +31,8 @@ pub struct PipelineState<'a> {
     /// exhaustion into a decided `Unknown` (see
     /// [`budget_exhausted_result`](super::budget_exhausted_result)).
     pub budget: Budget,
-    /// The Shannon-cone prover answering the LP stage's feasibility probes.
+    /// The Shannon-cone prover answering the LP stage's feasibility probes
+    /// outside the decidable class.
     pub gamma: &'a mut GammaProver,
     /// The contained-candidate query; replaced by its Boolean reduction by
     /// the first stage.
@@ -57,9 +58,9 @@ pub struct PipelineState<'a> {
     /// What keeps the instance out of the decidable class, when something
     /// does.
     pub obstruction: Option<Obstruction>,
-    /// The violating polymatroid of the Γ_n check, stored by the LP stage
-    /// when the inequality fails inside the decidable class.
-    pub counterexample: Option<SetFunction>,
+    /// The normal counterexample of the normal-cone LP, stored by the LP
+    /// stage when the inequality fails inside the decidable class.
+    pub counterexample: Option<NormalFunction>,
     /// The counting refuter's separation, when it fired (kept for
     /// diagnostics; the stage decides immediately).
     pub refutation: Option<CountRefutation>,

@@ -6,15 +6,16 @@
 //! shows that when `Q2` is chordal with a totally disconnected (resp. simple)
 //! junction tree, a *product* (resp. *normal*) witness exists whenever any
 //! witness exists.  This module verifies candidate witnesses by explicit
-//! counting, extracts normal witnesses from polymatroid counterexamples of the
-//! containment inequality (via the Lemma 3.7 normalization and the Lemma 4.8
-//! gap amplification), searches for product witnesses by enumeration, and
-//! provides a brute-force containment oracle for small instances.
+//! counting, extracts normal witnesses from normal counterexamples of the
+//! containment inequality (via the Lemma 4.8 gap amplification), searches
+//! for product witnesses by enumeration, and provides a brute-force
+//! containment oracle for small instances.
 
 use bqc_arith::Rational;
-use bqc_entropy::{normal_relation_from_function, normalize, NormalFunction, SetFunction};
+use bqc_entropy::{normal_relation_from_function, NormalFunction};
 use bqc_obs::{Budget, Exhausted};
 use bqc_relational::{count_homomorphisms, ConjunctiveQuery, Structure, VRelation, Value};
+use std::collections::HashMap;
 
 /// A verified proof that `Q1 ⋢ Q2`.
 #[derive(Clone, Debug)]
@@ -76,28 +77,27 @@ pub fn verify_witness(
     }))
 }
 
-/// Extracts a normal witness from a polymatroid counterexample of the
-/// containment inequality (Eq. 8).
+/// Extracts a normal witness from a normal counterexample of the containment
+/// inequality (Eq. 8), such as the optimum of the normal-cone LP.
 ///
-/// The counterexample is first pushed down into the normal functions
-/// (Lemma 3.7 item 2 — sound because the composed expressions are simple when
-/// `Q2`'s junction tree is simple), its step coefficients are scaled to
-/// integers, and then the whole function is amplified by `k = 1, 2, …`
-/// (Lemma 4.8) until the materialized normal relation verifies by counting or
-/// the row budget `max_rows` is exhausted.  The verification counts charge
-/// `budget`; `Err` means it ran out before a witness was found or ruled out.
+/// The step coefficients are scaled to integers, and then the whole function
+/// is amplified by `k = 1, 2, …` (Lemma 4.8) until the materialized normal
+/// relation verifies by counting or the row budget `max_rows` is exhausted.
+/// Each amplification is verified in two encodings: the normal relation as
+/// built, whose columns share one value domain, and then — only when that
+/// fails — the same rows with every `(column, value)` pair renumbered to its
+/// own integer.  Disjoint column domains keep `Π_{Q1}(P)` from identifying
+/// values across columns, which can give `Q2` homomorphisms that Eq. (8)
+/// never counts.  The verification counts charge `budget`; `Err` means it ran
+/// out before a witness was found or ruled out.
 pub fn witness_from_counterexample(
     q1: &ConjunctiveQuery,
     q2: &ConjunctiveQuery,
-    counterexample: &SetFunction,
+    counterexample: &NormalFunction,
     max_rows: u64,
     budget: &Budget,
 ) -> Result<Option<NonContainmentWitness>, Exhausted> {
-    let normalized = normalize(counterexample);
-    let Some(normal) = NormalFunction::try_from_set_function(&normalized) else {
-        return Ok(None);
-    };
-    let (integral, _denominator) = normal.clear_denominators();
+    let (integral, _denominator) = counterexample.clear_denominators();
     for amplification in 1..=16u32 {
         let scaled = scale_normal(&integral, amplification);
         let Some(relation) = normal_relation_from_function(&scaled, max_rows) else {
@@ -108,8 +108,30 @@ pub fn witness_from_counterexample(
         if let Some(witness) = verify_witness(q1, q2, &relation, budget)? {
             return Ok(Some(witness));
         }
+        if let Some(witness) = verify_witness(q1, q2, &disjoint_domains(&relation), budget)? {
+            return Ok(Some(witness));
+        }
     }
     Ok(None)
+}
+
+/// The relation with every `(column, value)` pair renumbered to its own
+/// integer, so that no value occurs in two columns.
+fn disjoint_domains(relation: &VRelation) -> VRelation {
+    let mut ids: HashMap<(usize, &Value), i64> = HashMap::new();
+    let rows: Vec<Vec<Value>> = relation
+        .rows()
+        .map(|row| {
+            row.iter()
+                .enumerate()
+                .map(|(column, value)| {
+                    let next = ids.len() as i64;
+                    Value::int(*ids.entry((column, value)).or_insert(next))
+                })
+                .collect()
+        })
+        .collect();
+    VRelation::from_rows(relation.columns().to_vec(), rows)
 }
 
 fn scale_normal(normal: &NormalFunction, factor: u32) -> NormalFunction {
@@ -322,10 +344,11 @@ mod tests {
     #[test]
     fn witness_from_counterexample_for_example_3_5() {
         // End-to-end: build the containment inequality for Example 3.5, get a
-        // polymatroid counterexample from the LP, normalize it and materialize
-        // a verified witness database.
+        // normal counterexample from the normal-cone LP and materialize a
+        // verified witness database.
         use crate::containment::containment_inequality;
         use bqc_hypergraph::{junction_tree, Graph};
+        use bqc_iip::{check_over_normal_cone, NormalConeValidity};
 
         let q1 =
             parse_query("Q1() :- A(x1,x2), B(x1,x2), C(x1,x2), A(x1',x2'), B(x1',x2'), C(x1',x2')")
@@ -334,17 +357,46 @@ mod tests {
         let graph = Graph::from_cliques(q2.hyperedges());
         let td = junction_tree(&graph).unwrap();
         let (inequality, _) = containment_inequality(&q1, &q2, &td).unwrap();
-        let verdict = bqc_iip::GammaProver::new()
-            .check_max_inequality(&inequality, &Budget::unlimited())
-            .unwrap();
-        let counterexample = match verdict {
-            bqc_iip::GammaValidity::NotShannonProvable { counterexample } => counterexample,
-            bqc_iip::GammaValidity::ValidShannon => panic!("Example 3.5 must be non-contained"),
-        };
+        let counterexample =
+            match check_over_normal_cone(&inequality, &Budget::unlimited()).unwrap() {
+                NormalConeValidity::Violated { counterexample } => counterexample,
+                NormalConeValidity::Valid => panic!("Example 3.5 must be non-contained"),
+            };
         let witness =
             witness_from_counterexample(&q1, &q2, &counterexample, 1 << 12, &Budget::unlimited())
                 .unwrap()
                 .expect("normal witness must verify");
         assert!(witness.hom_q1 > witness.hom_q2);
+    }
+
+    #[test]
+    fn disjoint_domains_witness_the_shared_domain_pair() {
+        // The normal-cone counterexample for this pair is the step function
+        // that varies only v3.  With 2^k rows the shared value domain gives
+        // Q2 4^k homomorphisms; with one domain per column it has 4, so the
+        // 8-row relation verifies only in the second encoding.
+        let q1 = parse_query("Q1() :- R(v2,v1),R(v3,v2),R(v2,v0),U(v2),R(v0,v3)").unwrap();
+        let q2 = parse_query("Q2() :- R(v2,v1),R(v2,v0),U(v2)").unwrap();
+        let vars = q1.vars().to_vec();
+        let v3 = 1 << vars.iter().position(|v| v == "v3").unwrap();
+        let full = (1 << vars.len()) - 1;
+        let mut step = NormalFunction::zero(vars);
+        step.add_step(full & !v3, Rational::from(3i64));
+        let relation = normal_relation_from_function(&step, 16).unwrap();
+        assert_eq!(relation.len(), 8);
+        let unlimited = Budget::unlimited();
+        assert!(verify_witness(&q1, &q2, &relation, &unlimited)
+            .unwrap()
+            .is_none());
+        let separated = verify_witness(&q1, &q2, &disjoint_domains(&relation), &unlimited)
+            .unwrap()
+            .expect("disjoint column domains verify");
+        assert_eq!((separated.relation.len(), separated.hom_q2), (8, 4));
+        let mut unit = NormalFunction::zero(q1.vars().to_vec());
+        unit.add_step(full & !v3, Rational::one());
+        let amplified = witness_from_counterexample(&q1, &q2, &unit, 16, &unlimited)
+            .unwrap()
+            .expect("the third amplification verifies");
+        assert_eq!((amplified.hom_q1, amplified.hom_q2), (16, 4));
     }
 }

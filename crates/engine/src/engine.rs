@@ -682,6 +682,26 @@ mod tests {
         ]
     }
 
+    /// A contained pair whose normal-cone LP needs more than one pivot (the
+    /// 3-edge path ⊑ two disjoint edges), a renamed copy of it, and the
+    /// reverse direction, which the hom-existence screen decides.
+    fn pivot_bound_batch() -> Vec<(ConjunctiveQuery, ConjunctiveQuery)> {
+        vec![
+            (
+                q("Q1() :- R(a,b), R(b,c), R(c,d)"),
+                q("Q2() :- R(x,y), R(u,v)"),
+            ),
+            (
+                q("A() :- R(r,s), R(p,q), R(q,r)"),
+                q("B() :- R(m,n), R(k,l)"),
+            ),
+            (
+                q("Q3() :- R(x,y), R(u,v)"),
+                q("Q4() :- R(a,b), R(b,c), R(c,d)"),
+            ),
+        ]
+    }
+
     #[test]
     fn batch_dedups_canonically_equal_requests() {
         let engine = Engine::default();
@@ -816,9 +836,8 @@ mod tests {
         let mut options = EngineOptions::default();
         options.decide.budget.max_pivots = Some(1);
         let engine = Engine::new(options);
-        let q1 = q("Q1() :- R(x,y), R(y,z), R(z,x)");
-        let q2 = q("Q2() :- R(u,v), R(u,w)");
-        // Example 4.3 needs the LP; one pivot is not enough.
+        let (q1, q2) = pivot_bound_batch().swap_remove(0);
+        // The pair needs the LP; one pivot is not enough.
         let first = engine.decide(&q1, &q2).unwrap();
         assert!(matches!(
             first,
@@ -842,10 +861,10 @@ mod tests {
         let mut options = EngineOptions::default();
         options.decide.budget.max_pivots = Some(1);
         let engine = Engine::new(options);
-        let first = engine.decide_batch(&small_batch());
-        // Example 4.3 (and its renamed copy) exhausts at the LP; the reverse
-        // direction is decided by the hom-existence screen long before any
-        // pivots and is cached normally.
+        let first = engine.decide_batch(&pivot_bound_batch());
+        // The LP-bound pair (and its renamed copy) exhausts at the LP; the
+        // reverse direction is decided by the hom-existence screen long
+        // before any pivots and is cached normally.
         assert!(matches!(
             first[0].answer,
             Ok(AnswerSummary::Unknown {
@@ -856,7 +875,7 @@ mod tests {
         assert!(first[2].answer.as_ref().unwrap().is_not_contained());
         assert_eq!(engine.cache_stats().entries, 1, "only the sound verdict");
         assert_eq!(engine.fault_stats().budget_exhausted, 1);
-        let second = engine.decide_batch(&small_batch());
+        let second = engine.decide_batch(&pivot_bound_batch());
         assert_eq!(
             second[0].provenance,
             Provenance::Fresh,
@@ -884,29 +903,23 @@ mod tests {
 
     #[test]
     fn workers_share_the_engine_wide_skeleton_cache() {
-        // The counting refuter would separate this workload's pairs before
-        // any LP work (5-cycle ⋢ 2-star already on a dense random structure);
-        // this test is about the LP skeleton cache, so keep the refuter off.
         let engine = Engine::new(EngineOptions {
             workers: 4,
-            decide: bqc_core::DecideOptions {
-                counting_refuter: false,
-                ..bqc_core::DecideOptions::default()
-            },
             ..EngineOptions::default()
         });
         assert!(engine.skeletons().is_empty());
-        // Five-variable queries: above the prover's small-universe cutoff,
-        // so the lazy separation path builds a skeleton.  (The 3-variable
-        // batches of the other tests stay entirely on the eager small path.)
+        // Five-variable pairs outside the decidable class (the diamond's
+        // junction tree has a two-variable separator): above the prover's
+        // small-universe cutoff, so the lazy Γ_5 separation path builds a
+        // skeleton.  In-class pairs never reach the Γ_n prover.
         let batch = vec![
             (
-                q("Q1() :- R(x1,x2), R(x2,x3), R(x3,x4), R(x4,x5), R(x5,x1)"),
-                q("Q2() :- R(y1,y2), R(y1,y3)"),
+                q("Q1() :- R(a,b), R(b,c), R(a,c), R(b,d), R(c,d), R(a,e)"),
+                q("Q2() :- R(a,b), R(b,c), R(a,c), R(b,d), R(c,d)"),
             ),
             (
-                q("A() :- R(a,b), R(b,c), R(c,d), R(d,e), R(e,a)"),
-                q("B() :- R(u,v), R(u,w)"),
+                q("Q1() :- R(x1,x2), R(x2,x3), R(x1,x3), R(x2,x4), R(x3,x4), R(x4,x5)"),
+                q("Q2() :- R(y1,y2), R(y2,y3), R(y1,y3), R(y2,y4), R(y3,y4)"),
             ),
         ];
         engine.decide_batch(&batch);

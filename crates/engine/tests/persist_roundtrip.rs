@@ -214,10 +214,12 @@ fn engine_snapshot_restores_byte_identical_summaries_and_hits() {
 
 #[test]
 fn skeleton_manifest_rebuilds_warm_skeletons() {
-    // A 5-variable pair forces a skeleton build (above the eager cutoff);
-    // the counting refuter is off so the LP path actually runs.
+    // A 5-variable pair outside the decidable class (the diamond's junction
+    // tree is not simple) forces a Γ_5 probe, above the eager cutoff, and
+    // with it a skeleton build.
     let requests: Vec<_> = parse_workload(
-        "Q1() :- R(x1,x2), R(x2,x3), R(x3,x4), R(x4,x5), R(x5,x1) ; Q2() :- R(y1,y2), R(y1,y3)",
+        "Q1() :- R(a,b), R(b,c), R(a,c), R(b,d), R(c,d), R(a,e) ; \
+         Q2() :- R(a,b), R(b,c), R(a,c), R(b,d), R(c,d)",
     )
     .unwrap()
     .into_iter()
@@ -225,10 +227,6 @@ fn skeleton_manifest_rebuilds_warm_skeletons() {
     .collect();
     let opts = EngineOptions {
         workers: 1,
-        decide: bqc_core::DecideOptions {
-            counting_refuter: false,
-            ..bqc_core::DecideOptions::default()
-        },
         ..EngineOptions::default()
     };
     let first = Engine::new(opts.clone());

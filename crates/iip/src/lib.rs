@@ -16,6 +16,10 @@
 //!   Yeung's ITIP, extended to maxima, with lazy separation and warm starts),
 //!   returning a violating polymatroid when the inequality is not
 //!   Shannon-provable; every probe runs under a `bqc_obs::Budget`;
+//! * [`check_over_normal_cone`] — exact validity over the normal cone `N_n`
+//!   with one LP over the step functions, returning a normal counterexample;
+//!   inside the decidable class of Theorem 3.1 this equals validity over
+//!   `Γ_n` (Lemma 3.7(2));
 //! * [`uniformize`] — Lemma 5.3, the Uniform-Max-IIP normal form consumed by
 //!   the reduction to query containment;
 //! * [`find_convex_certificate`] — Theorem 6.1 over `Γ_n`: a valid
@@ -41,10 +45,12 @@
 
 pub mod convex;
 pub mod inequality;
+pub mod normal_cone;
 pub mod prover;
 pub mod uniform;
 
 pub use convex::{certificate_or_refutation, find_convex_certificate, ConvexCertificate};
 pub use inequality::{LinearInequality, MaxInequality};
+pub use normal_cone::{check_over_normal_cone, NormalConeValidity};
 pub use prover::{check_max_inequality_eager, minimize_over_gamma, GammaProver, GammaValidity};
 pub use uniform::{uniformize, UniformExpression, UniformMaxIip, UniformityError};

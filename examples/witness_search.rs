@@ -42,7 +42,7 @@ fn main() {
         } => {
             println!("decision: Q1 ⋢ Q2");
             if let Some(h) = counterexample {
-                println!("violating polymatroid found by the LP:");
+                println!("normal counterexample found by the LP:");
                 for line in h.to_string().lines() {
                     println!("  {line}");
                 }

@@ -7,7 +7,7 @@
 # The quick-mode criterion run (BQC_BENCH_QUICK=1) appends per-scenario median
 # records to a JSONL file (BQC_BENCH_JSON); `bench_compare collect` turns that
 # into the canonical document and `bench_compare compare` enforces the 25%
-# regression threshold plus five machine-independent speedup floors:
+# regression threshold plus six machine-independent speedup floors:
 #
 #   * the warm lazy-separation prover >= 5x the eager materialized cone on
 #     the n=6 chain validity check;
@@ -21,7 +21,9 @@
 #     (off/on >= 0.952, i.e. on <= 1.05x off);
 #   * a snapshot-restored engine >= 5x a cold engine on the LP-bound restart
 #     workload (experiment E19: restart warmth — a restored decision cache
-#     answers repeat traffic without re-solving any LP).
+#     answers repeat traffic without re-solving any LP);
+#   * the normal-cone LP >= 50x a cold Γ_6 prover on the Eq. (8) inequality
+#     of cycle_6 ⊑ path_5 (how the shannon-lp stage decides the class).
 #
 # --normalize calibrates away uniform machine-speed differences (geomean of
 # all ratios), so the committed baseline stays usable on CI runners that are
@@ -62,4 +64,5 @@ cargo run --release -p bqc-bench --bin bench_compare -- compare "$BASELINE" "$NE
     --min-speedup pipeline/refutable/lp_only/3 pipeline/refutable/refuter/3 5 \
     --min-speedup pipeline/obs/disabled/4 pipeline/obs/enabled/4 0.952 \
     --min-speedup pipeline/budget/off/6 pipeline/budget/on/6 0.952 \
-    --min-speedup serve/restart/cold/4 serve/restart/restored/4 5
+    --min-speedup serve/restart/cold/4 serve/restart/restored/4 5 \
+    --min-speedup pipeline/normal_cone/gamma_cold/6 pipeline/normal_cone/normal_cone/6 50

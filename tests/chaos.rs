@@ -44,12 +44,15 @@ fn q(text: &str) -> ConjunctiveQuery {
     parse_query(text).expect("test query parses")
 }
 
-/// cycle_7 ⊑ path_6 in workload pair syntax: containment holds, every cheap
-/// screen passes through, and the Γ_7 LP decides — heavy enough that a 10ms
-/// deadline always fires first in a test-profile build.
+/// A diamond with a three-edge tail against the diamond, in workload pair
+/// syntax: the diamond's junction tree is not simple, so the pair is outside
+/// the decidable class and the exact Γ_7 prover decides it (separation
+/// rounds, then escalation; ~0.5 s in a release build) — heavy enough that
+/// a 10ms deadline always fires first.  In-class pairs such as
+/// cycle_7 ⊑ path_6 take one small normal-cone LP instead (~2 ms).
 fn gamma7_pair_line() -> &'static str {
-    "Q1() :- R(x1,x2), R(x2,x3), R(x3,x4), R(x4,x5), R(x5,x6), R(x6,x7), R(x7,x1) ; \
-     Q2() :- R(y1,y2), R(y2,y3), R(y3,y4), R(y4,y5), R(y5,y6), R(y6,y7)"
+    "Q1() :- R(a,b), R(b,c), R(a,c), R(b,d), R(c,d), R(a,e), R(e,f), R(f,g) ; \
+     Q2() :- R(a,b), R(b,c), R(a,c), R(b,d), R(c,d)"
 }
 
 fn bqc() -> Command {

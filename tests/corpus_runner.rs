@@ -23,6 +23,7 @@ const CORPUS_FILES: &[&str] = &[
     "examples/corpus/single_bag_fallback.bqc",
     "examples/corpus/near_miss.bqc",
     "examples/corpus/pipeline_branches.bqc",
+    "examples/corpus/normal_cone.bqc",
 ];
 
 fn load(path: &str) -> Vec<CorpusCase> {
