@@ -4,10 +4,14 @@
 //! regression gate (`scripts/bench_compare.sh`):
 //!
 //! * **LP avoidance** (`pipeline/refutable/*`) — on refutable workloads the
-//!   counting refuter must beat the LP-only path by ≥ 5x.  The
-//!   parallel-blocks family generalizes Example 3.5: `m` blocks put the
-//!   LP-only path on a `Γ_{2m}` refutation while the refuter counts
-//!   homomorphisms on an `m`-block canonical database.
+//!   counting refuter must beat the LP-only path by ≥ 5x at m=3 and at
+//!   m=5.  The parallel-blocks family generalizes Example 3.5: `m` blocks
+//!   put the LP-only path on the normal-cone LP over `2m` variables
+//!   (`2^{2m} − 1` step-function columns) plus witness-free refutation,
+//!   while the refuter counts homomorphisms on an `m`-block canonical
+//!   database.  At m=3 the normal-cone LP is too small for a 5x gap
+//!   (measured 2–3x), so that floor fails; the refuter is confined to the
+//!   decidable class, so no out-of-class pair can carry it instead.
 //! * **LP-bound decisions** (`pipeline/overhead/pipeline/*`) — cycle ⊑ path,
 //!   containment holds, every screen passes through and the Γ_k LP decides:
 //!   the worst case for pipeline bookkeeping, trace collection included,
@@ -26,13 +30,22 @@
 //!   `shannon-lp` stage runs inside the decidable class, against a cold
 //!   `GammaProver` on `Γ_6` (the stage's pre-normal-cone path).  The CI
 //!   floor requires the normal cone ≥ 50x faster; measured ~3700x.
+//! * **Witness materialization** (`pipeline/witness/*`) — two lp-bound
+//!   refutations decided with `DecideOptions::default()`, witnesses on, as
+//!   `bqc` runs them: the normal-cone LP refutes and the witness stage
+//!   amplifies the counterexample (Lemma 4.8) and counts homomorphisms on
+//!   the normal relation until `|P| > |hom(Q2, Π_{Q1}(P))|`.  Tracked by
+//!   the regression threshold; every other scenario here runs with
+//!   witnesses off.
 //! * **Observability overhead** (`pipeline/obs/*`) — the same cold-engine
 //!   stage-mix batch with the `bqc-obs` metric probes live vs killed by the
 //!   runtime switch (`bqc_obs::set_enabled`).  The CI floor requires
 //!   `disabled / enabled ≥ 0.952`, i.e. live counters cost at most 5% —
 //!   the experiment E18 overhead policy.
 
-use bqc_bench::{cycle_query, parallel_blocks_query, path_query, spread_query, stage_mix_workload};
+use bqc_bench::{
+    cycle_query, parallel_blocks_query, path_query, spread_query, stage_mix_workload, star_query,
+};
 use bqc_core::{
     containment_inequality, decide_containment_traced, Budget, ContainmentAnswer, DecideContext,
     DecideOptions,
@@ -44,8 +57,9 @@ use bqc_relational::ConjunctiveQuery;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-/// Witness extraction off throughout: these scenarios measure the decision
-/// pipeline, not Lemma 3.7 witness materialization (experiment E12).
+/// Witness extraction off: these scenarios measure the decision pipeline,
+/// not Lemma 3.7 witness materialization (experiment E12), which
+/// `pipeline/witness/*` measures.
 fn decide_options(counting_refuter: bool) -> DecideOptions {
     DecideOptions {
         extract_witness: false,
@@ -71,7 +85,7 @@ fn bench_refutable(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));
     let q2 = spread_query();
-    for m in [2usize, 3] {
+    for m in [2usize, 3, 5] {
         let q1 = parallel_blocks_query(m);
         group.bench_with_input(BenchmarkId::new("lp_only", m), &m, |b, _| {
             let options = decide_options(false);
@@ -176,6 +190,30 @@ fn bench_normal_cone(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_witness(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline/witness");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(3));
+    // cycle₃ ⊑ star₁ verifies a 64-row witness (190 vs 46 homomorphisms)
+    // at amplification 2; path₃ ⊑ star₂ a 128-row one (224 vs 52) at 1.
+    let pairs = [
+        ("cycle3_star1", cycle_query(3), star_query(1)),
+        ("path3_star2", path_query(3), star_query(2)),
+    ];
+    let options = DecideOptions::default();
+    for (name, q1, q2) in &pairs {
+        group.bench_function(name, |b| {
+            b.iter(|| match decide(q1, q2, &options) {
+                ContainmentAnswer::NotContained {
+                    witness: Some(_), ..
+                } => {}
+                other => panic!("{name}: expected a witness, got {other:?}"),
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_stage_mix(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline/stage_mix");
     group.sample_size(10);
@@ -230,6 +268,7 @@ criterion_group!(
     bench_overhead,
     bench_budget,
     bench_normal_cone,
+    bench_witness,
     bench_stage_mix,
     bench_obs
 );

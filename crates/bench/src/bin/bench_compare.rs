@@ -4,7 +4,7 @@
 //!
 //! * `bench_compare collect <raw.jsonl>` — reads the JSON-lines records the
 //!   benchmark harness appends under `BQC_BENCH_JSON` and prints the
-//!   canonical baseline document (`BENCH_PR5.json`) to stdout;
+//!   canonical baseline document (`BENCH_PR20.json`) to stdout;
 //! * `bench_compare compare <baseline.json> <new.json> [--threshold 1.25]
 //!   [--normalize] [--min-speedup SLOW_ID FAST_ID FACTOR]...` — fails
 //!   (exit 1) when any baseline scenario regresses beyond the threshold,

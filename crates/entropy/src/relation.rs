@@ -107,35 +107,51 @@ pub fn gf2_group_relation(columns: &[&str], dim: usize, coords: &[Vec<usize>]) -
 /// (Definition B.1).  The entropy of the result is exactly
 /// `Σ_W c_W · h_W` bits.
 ///
+/// The rows are flat [`Value::Int`]s rather than the nested pairs of
+/// [`VRelation::domain_product`]: a value of the product is a sequence of
+/// one digit per step function (`0` in a column of `W`, `j ∈ 0..2^{c_W}`
+/// elsewhere), and it is encoded as one mixed-radix integer, first step
+/// most significant.  The encoding is a bijection shared by every column
+/// and preserves the order of digit sequences, so the relation is
+/// isomorphic to the fold of [`VRelation::step_relation`] and
+/// `domain_product` — same rows in the same order, same equalities within
+/// and across columns — and every hom count over it is the same.
+///
 /// Returns `None` if any coefficient is not a non-negative integer or if the
 /// construction would exceed `max_rows` rows.
 pub fn normal_relation_from_function(normal: &NormalFunction, max_rows: u64) -> Option<VRelation> {
     let columns: Vec<String> = normal.vars().to_vec();
-    let helper = crate::setfn::SetFunction::zero(columns.clone());
-    // Start with a single all-constant row (the empty domain product).
-    let mut result = VRelation::from_rows(
-        columns.clone(),
-        vec![columns
-            .iter()
-            .map(|_| Value::int(0))
-            .collect::<Vec<Value>>()],
-    );
-    let mut rows: u64 = 1;
+    // Start with a single all-zero row (the empty domain product).
+    let mut rows: Vec<Vec<i64>> = vec![vec![0; columns.len()]];
     for (&w, coeff) in normal.coefficients() {
         if !coeff.is_integer() || coeff.is_negative() {
             return None;
         }
         let exponent = coeff.numer().to_u64()?;
         let multiplicity = 1u64.checked_shl(u32::try_from(exponent).ok()?)?;
-        rows = rows.checked_mul(multiplicity)?;
-        if rows > max_rows {
+        if (rows.len() as u64).checked_mul(multiplicity)? > max_rows {
             return None;
         }
-        let w_names = helper.names_of(w);
-        let step = VRelation::step_relation(&columns, &w_names, multiplicity);
-        result = result.domain_product(&step);
+        let radix = i64::try_from(multiplicity).ok()?;
+        rows = rows
+            .iter()
+            .flat_map(|row| {
+                (0..radix).map(move |j| {
+                    row.iter()
+                        .enumerate()
+                        .map(|(column, &high)| {
+                            let digit = if w & (1 << column) != 0 { 0 } else { j };
+                            high * radix + digit
+                        })
+                        .collect()
+                })
+            })
+            .collect();
     }
-    Some(result)
+    let rows = rows
+        .into_iter()
+        .map(|row| row.into_iter().map(Value::Int).collect());
+    Some(VRelation::from_rows(columns, rows))
 }
 
 /// Numerically compares the entropy of a relation against an exact set

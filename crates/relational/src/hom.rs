@@ -13,12 +13,38 @@
 //! instance sizes produced by the paper's constructions; an asymptotically
 //! better junction-tree counting algorithm for acyclic queries lives in
 //! `bqc-core::yannakakis` and is benchmarked against this one.
+//!
+//! The search runs over dense integer ids, not [`Value`]s:
+//!
+//! * **Interned values.** Each call numbers the distinct values of the
+//!   relations the query mentions `0, 1, …` in [`Value`] order, once, and
+//!   re-encodes those facts as rows of ids.  Id order is value order, so
+//!   candidate lists are in [`Value`] order.  A variable's binding is one
+//!   `u32` in a slot indexed by the variable's position in
+//!   [`ConjunctiveQuery::vars`].  An atom whose arity differs from its
+//!   relation's matches no fact, so such a query has no homomorphism.
+//! * **Per-depth key sets.** An atom is checked at every depth that binds
+//!   one of its variables: fully at the depth that binds its last one, and
+//!   partially (does some fact agree with the bound positions?) before
+//!   that.  For each such (atom, depth) the plan holds the set of the fact
+//!   projections onto the positions bound at that depth, shared between
+//!   atoms with the same relation and bound positions; every check is one
+//!   probe of that set.
+//! * **The search tree depends only on values and names.** Variable order
+//!   is greedy (smallest candidate set among variables adjacent to those
+//!   already placed, ties in variable-name order), candidates are tried in
+//!   [`Value`] order, and one hom-step is charged per candidate tried.  So
+//!   counts, the enumeration order (which fixes the disjunct order of
+//!   Eq. (8)) and budget charges do not depend on the id encoding.  The
+//!   partial check has no repeated-variable filter: it would prune more
+//!   and change the charges.  Counting never materializes an
+//!   [`Assignment`]; enumeration builds one per homomorphism found.
 
 use crate::query::{Atom, ConjunctiveQuery, Var};
 use crate::structure::Structure;
 use crate::value::{Tuple, Value};
 use bqc_obs::{Budget, Exhausted};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// An assignment of query variables to domain values.
 pub type Assignment = BTreeMap<Var, Value>;
@@ -48,8 +74,11 @@ pub fn count_homomorphisms(
     data: &Structure,
     budget: &Budget,
 ) -> Result<u128, Exhausted> {
+    let Some(search) = SearchPlan::build(query, data) else {
+        return Ok(0);
+    };
     let mut count: u128 = 0;
-    for_each_homomorphism(query, data, budget, |_| count += 1)?;
+    search.run(budget, |_| count += 1)?;
     Ok(count)
 }
 
@@ -78,183 +107,244 @@ pub fn for_each_homomorphism<F: FnMut(&Assignment)>(
     budget: &Budget,
     mut callback: F,
 ) -> Result<(), Exhausted> {
-    let search = match SearchPlan::build(query, data) {
-        Some(search) => search,
-        None => return Ok(()), // some variable has no candidate value
+    let Some(search) = SearchPlan::build(query, data) else {
+        return Ok(()); // no homomorphism can exist
     };
-    let mut assignment = Assignment::new();
-    search.run(0, &mut assignment, budget, &mut callback)
+    // One map, built once: its keys are the variables in name order, and
+    // each homomorphism found overwrites the values.
+    let mut assignment: Assignment = query
+        .vars()
+        .iter()
+        .map(|v| (v.clone(), Value::Int(0)))
+        .collect();
+    let mut by_name: Vec<usize> = (0..query.num_vars()).collect();
+    by_name.sort_by_key(|&i| &query.vars()[i]);
+    search.run(budget, |ids| {
+        for (slot, &var) in assignment.values_mut().zip(&by_name) {
+            *slot = search.values[ids[var] as usize].clone();
+        }
+        callback(&assignment);
+    })
+}
+
+/// The projections of a relation's facts onto some of its positions.
+type KeySet = HashSet<Box<[u32]>>;
+
+/// One atom check at one depth: the query variables at the atom's bound
+/// positions (in position order) and the key set their ids must hit.
+struct Probe {
+    vars: Vec<usize>,
+    keys: usize,
 }
 
 struct SearchPlan<'a> {
-    /// Variables in the order they are assigned.
-    order: Vec<Var>,
-    /// Candidate values for each variable (same order as `order`).
-    candidates: Vec<Vec<Value>>,
-    /// For each position `i` in the order, the atoms whose variables are all
-    /// assigned once `order[i]` is bound (checked eagerly at that point).
-    checks: Vec<Vec<&'a Atom>>,
-    /// For each position `i`, the atoms mentioning `order[i]` that are not yet
-    /// fully assigned at `i` (filtered with a partial-consistency check).
-    partial_checks: Vec<Vec<&'a Atom>>,
-    data: &'a Structure,
+    /// The value of each id; ids are numbered in `Value` order.
+    values: Vec<&'a Value>,
+    /// Variable indices (into `query.vars()`) in the order they are bound.
+    order: Vec<usize>,
+    /// Candidate ids for each depth, ascending (same order as `order`).
+    candidates: Vec<Vec<u32>>,
+    /// For each depth, the full checks of the atoms whose last variable is
+    /// bound there, then the partial checks of the atoms with a variable
+    /// bound there and one bound later.
+    probes: Vec<Vec<Probe>>,
+    key_sets: Vec<KeySet>,
 }
 
 impl<'a> SearchPlan<'a> {
-    fn build(query: &'a ConjunctiveQuery, data: &'a Structure) -> Option<SearchPlan<'a>> {
+    fn build(query: &ConjunctiveQuery, data: &'a Structure) -> Option<SearchPlan<'a>> {
+        // No fact can satisfy an atom whose arity differs from its relation's.
+        let vocabulary = data.vocabulary();
+        if query.atoms().iter().any(|atom| {
+            vocabulary
+                .arity_of(&atom.relation)
+                .is_some_and(|arity| arity != atom.arity())
+        }) {
+            return None;
+        }
+        // Intern the values of every relation the query mentions.
+        let relations: BTreeMap<&str, Vec<&'a Tuple>> = query
+            .atoms()
+            .iter()
+            .map(|atom| (atom.relation.as_str(), data.facts(&atom.relation).collect()))
+            .collect();
+        let mut values: Vec<&'a Value> = relations.values().flatten().copied().flatten().collect();
+        values.sort_unstable();
+        values.dedup();
+        let id_of = |value: &Value| values.binary_search(&value).expect("interned") as u32;
+        let rows: BTreeMap<&str, Vec<Vec<u32>>> = relations
+            .iter()
+            .map(|(&name, facts)| {
+                let encoded = facts
+                    .iter()
+                    .map(|t| t.iter().map(id_of).collect())
+                    .collect();
+                (name, encoded)
+            })
+            .collect();
+
         // Candidate sets: intersection over atoms/positions mentioning the variable.
-        let mut candidates: BTreeMap<&Var, BTreeSet<Value>> = BTreeMap::new();
-        for atom in query.atoms() {
-            for (pos, var) in atom.args.iter().enumerate() {
-                let values: BTreeSet<Value> =
-                    data.facts(&atom.relation).map(|t| t[pos].clone()).collect();
-                match candidates.get_mut(var) {
-                    Some(existing) => {
-                        existing.retain(|v| values.contains(v));
-                    }
-                    None => {
-                        candidates.insert(var, values);
-                    }
+        let vars = query.vars();
+        let index_of = |var: &Var| {
+            vars.iter()
+                .position(|v| v == var)
+                .expect("atom var in query")
+        };
+        let atom_vars: Vec<Vec<usize>> = query
+            .atoms()
+            .iter()
+            .map(|atom| atom.args.iter().map(index_of).collect())
+            .collect();
+        let mut candidates: Vec<Option<Vec<u32>>> = vec![None; vars.len()];
+        for (atom, args) in query.atoms().iter().zip(&atom_vars) {
+            for (pos, &var) in args.iter().enumerate() {
+                let mut column: Vec<u32> = rows[atom.relation.as_str()]
+                    .iter()
+                    .map(|row| row[pos])
+                    .collect();
+                column.sort_unstable();
+                column.dedup();
+                match &mut candidates[var] {
+                    Some(existing) => existing.retain(|id| column.binary_search(id).is_ok()),
+                    slot => *slot = Some(column),
                 }
             }
         }
-        for var in query.vars() {
-            if candidates.get(var).is_none_or(|c| c.is_empty()) {
-                return None;
-            }
-        }
+        let candidates: Vec<Vec<u32>> = candidates
+            .into_iter()
+            .map(|c| c.filter(|c| !c.is_empty()))
+            .collect::<Option<_>>()?;
 
         // Assignment order: greedily pick the variable with the smallest
         // candidate set among those connected to already-ordered variables
-        // (falling back to the globally smallest when none is connected).
-        let edges = query.gaifman_edges();
-        let mut neighbors: BTreeMap<&Var, BTreeSet<&Var>> = BTreeMap::new();
-        for (a, b) in &edges {
-            let (a_ref, b_ref) = (
-                query
-                    .vars()
-                    .iter()
-                    .find(|v| *v == a)
-                    .expect("edge var in query"),
-                query
-                    .vars()
-                    .iter()
-                    .find(|v| *v == b)
-                    .expect("edge var in query"),
-            );
-            neighbors.entry(a_ref).or_default().insert(b_ref);
-            neighbors.entry(b_ref).or_default().insert(a_ref);
+        // (falling back to the globally smallest when none is connected),
+        // ties broken in variable-name order.
+        let mut adjacent = vec![vec![false; vars.len()]; vars.len()];
+        for args in &atom_vars {
+            for &a in args {
+                for &b in args {
+                    adjacent[a][b] |= a != b;
+                }
+            }
         }
-        let mut remaining: BTreeSet<&Var> = query.vars().iter().collect();
-        let mut order: Vec<Var> = Vec::with_capacity(remaining.len());
-        let mut ordered_set: BTreeSet<&Var> = BTreeSet::new();
-        while !remaining.is_empty() {
-            let connected: Vec<&&Var> = remaining
-                .iter()
-                .filter(|v| {
-                    neighbors
-                        .get(**v)
-                        .is_some_and(|ns| ns.iter().any(|n| ordered_set.contains(n)))
-                })
+        let mut by_name: Vec<usize> = (0..vars.len()).collect();
+        by_name.sort_by_key(|&i| &vars[i]);
+        let mut depth_of: Vec<Option<usize>> = vec![None; vars.len()];
+        let mut order: Vec<usize> = Vec::with_capacity(vars.len());
+        while order.len() < vars.len() {
+            let remaining = by_name.iter().copied().filter(|&v| depth_of[v].is_none());
+            let connected: Vec<usize> = remaining
+                .clone()
+                .filter(|&v| order.iter().any(|&u| adjacent[v][u]))
                 .collect();
-            let pool: Vec<&Var> = if connected.is_empty() {
-                remaining.iter().copied().collect()
+            let pool = if connected.is_empty() {
+                remaining.collect()
             } else {
-                connected.into_iter().copied().collect()
+                connected
             };
-            let chosen: &Var = pool
+            let chosen = pool
                 .into_iter()
-                .min_by_key(|v| candidates[*v].len())
+                .min_by_key(|&v| candidates[v].len())
                 .expect("pool is non-empty");
-            order.push(chosen.clone());
-            ordered_set.insert(chosen);
-            remaining.remove(chosen);
+            depth_of[chosen] = Some(order.len());
+            order.push(chosen);
         }
+        let depth_of: Vec<usize> = depth_of.into_iter().map(Option::unwrap).collect();
 
-        // Atom checks: an atom is fully checked at the first position where all
+        // Atom checks: an atom is fully checked at the first depth where all
         // of its variables are assigned, and *partially* checked (does some
         // tuple agree with the assigned positions?) every time one of its
         // variables is assigned earlier.  The partial check is what keeps
         // wide-arity atoms (such as the ones produced by the Section 5
         // reduction) from exploding the search.
-        let position_of: BTreeMap<&Var, usize> =
-            order.iter().enumerate().map(|(i, v)| (v, i)).collect();
-        let mut checks: Vec<Vec<&Atom>> = vec![Vec::new(); order.len()];
-        let mut partial_checks: Vec<Vec<&Atom>> = vec![Vec::new(); order.len()];
-        for atom in query.atoms() {
-            let positions: Vec<usize> = atom
-                .var_set()
-                .iter()
-                .map(|v| *position_of.get(v).expect("atom var is ordered"))
-                .collect();
-            let last = *positions
-                .iter()
-                .max()
-                .expect("atom has at least one variable");
-            checks[last].push(atom);
-            for &p in &positions {
-                if p != last {
-                    partial_checks[p].push(atom);
+        let mut key_index: HashMap<(&str, Vec<usize>), usize> = HashMap::new();
+        let mut key_sets: Vec<KeySet> = Vec::new();
+        let mut full: Vec<Vec<Probe>> = (0..vars.len()).map(|_| Vec::new()).collect();
+        let mut partial: Vec<Vec<Probe>> = (0..vars.len()).map(|_| Vec::new()).collect();
+        for (atom, args) in query.atoms().iter().zip(&atom_vars) {
+            let mut depths: Vec<usize> = args.iter().map(|&v| depth_of[v]).collect();
+            depths.sort_unstable();
+            depths.dedup();
+            let last = *depths.last().expect("atom has at least one variable");
+            for depth in depths {
+                let positions: Vec<usize> = (0..args.len())
+                    .filter(|&p| depth_of[args[p]] <= depth)
+                    .collect();
+                let vars = positions.iter().map(|&p| args[p]).collect();
+                let relation = atom.relation.as_str();
+                let keys =
+                    *key_index
+                        .entry((relation, positions))
+                        .or_insert_with_key(|(_, positions)| {
+                            key_sets.push(
+                                rows[relation]
+                                    .iter()
+                                    .map(|row| positions.iter().map(|&p| row[p]).collect())
+                                    .collect(),
+                            );
+                            key_sets.len() - 1
+                        });
+                let probe = Probe { vars, keys };
+                if depth == last {
+                    full[depth].push(probe);
+                } else {
+                    partial[depth].push(probe);
                 }
             }
         }
-
-        let candidate_lists: Vec<Vec<Value>> = order
-            .iter()
-            .map(|v| candidates[v].iter().cloned().collect())
+        let probes = full
+            .into_iter()
+            .zip(partial)
+            .map(|(mut full, partial)| {
+                full.extend(partial);
+                full
+            })
             .collect();
+
+        let candidates = order.iter().map(|&v| candidates[v].clone()).collect();
         Some(SearchPlan {
+            values,
             order,
-            candidates: candidate_lists,
-            checks,
-            partial_checks,
-            data,
+            candidates,
+            probes,
+            key_sets,
         })
     }
 
-    fn run<F: FnMut(&Assignment)>(
+    /// Runs the search, calling `leaf` with the ids bound to each variable
+    /// (indexed like `query.vars()`) once per homomorphism.
+    fn run(&self, budget: &Budget, mut leaf: impl FnMut(&[u32])) -> Result<(), Exhausted> {
+        let mut ids = vec![0u32; self.order.len()];
+        let mut key = Vec::new();
+        self.descend(0, &mut ids, &mut key, budget, &mut leaf)
+    }
+
+    fn descend(
         &self,
         depth: usize,
-        assignment: &mut Assignment,
+        ids: &mut [u32],
+        key: &mut Vec<u32>,
         budget: &Budget,
-        callback: &mut F,
+        leaf: &mut impl FnMut(&[u32]),
     ) -> Result<(), Exhausted> {
         if depth == self.order.len() {
-            callback(assignment);
+            leaf(ids);
             return Ok(());
         }
-        let var = &self.order[depth];
-        for value in &self.candidates[depth] {
+        let var = self.order[depth];
+        for &id in &self.candidates[depth] {
             budget.charge_hom_steps(1)?;
-            assignment.insert(var.clone(), value.clone());
-            if self.checks[depth]
-                .iter()
-                .all(|atom| self.atom_satisfied(atom, assignment))
-                && self.partial_checks[depth]
-                    .iter()
-                    .all(|atom| self.atom_partially_satisfiable(atom, assignment))
-            {
-                self.run(depth + 1, assignment, budget, callback)?;
+            ids[var] = id;
+            let admitted = self.probes[depth].iter().all(|probe| {
+                key.clear();
+                key.extend(probe.vars.iter().map(|&v| ids[v]));
+                self.key_sets[probe.keys].contains(key.as_slice())
+            });
+            if admitted {
+                self.descend(depth + 1, ids, key, budget, leaf)?;
             }
         }
-        assignment.remove(var);
         Ok(())
-    }
-
-    fn atom_satisfied(&self, atom: &Atom, assignment: &Assignment) -> bool {
-        let tuple: Tuple = atom.args.iter().map(|v| assignment[v].clone()).collect();
-        self.data.contains_fact(&atom.relation, &tuple)
-    }
-
-    /// `true` iff some tuple of the atom's relation agrees with the currently
-    /// assigned positions (a semi-join style consistency filter).
-    fn atom_partially_satisfiable(&self, atom: &Atom, assignment: &Assignment) -> bool {
-        self.data.facts(&atom.relation).any(|tuple| {
-            atom.args
-                .iter()
-                .zip(tuple.iter())
-                .all(|(var, value)| assignment.get(var).is_none_or(|assigned| assigned == value))
-        })
     }
 }
 

@@ -48,9 +48,13 @@ impl VRelation {
     /// Panics if a row's length does not match the number of columns.
     pub fn from_rows(columns: Vec<Var>, rows: impl IntoIterator<Item = Tuple>) -> VRelation {
         let mut rel = VRelation::new(columns);
-        for row in rows {
-            rel.insert(row);
-        }
+        let arity = rel.columns.len();
+        // Collecting sorts once and bulk-builds the set, which is linear
+        // when the rows already come in order.
+        rel.rows = rows
+            .into_iter()
+            .inspect(|row| assert_eq!(row.len(), arity, "row arity mismatch"))
+            .collect();
         rel
     }
 
